@@ -27,13 +27,7 @@ from .order import (
     seed_search,
 )
 from .relations import check_weakly_left_related, check_weakly_right_related
-from .solvers import (
-    SolverConfig,
-    couple_iterate,
-    kmap_round_robin,
-    pair_iterate,
-    triple_iterate,
-)
+from .solvers import SolverConfig, check_scheme, run_scheme
 from .spaces import check_axioms, check_T0, space_from_json
 
 SCHEMA_VERSION = "1"
@@ -252,9 +246,6 @@ def _cmd_check_relations(args) -> int:
     return 0 if report.passed else 1
 
 
-_SCHEME_SELF_MAPS = {"single": 0, "pair": 1, "triple": 2}
-
-
 def _cmd_solve(args) -> int:
     cfg = _load_config(
         args.config,
@@ -273,13 +264,10 @@ def _cmd_solve(args) -> int:
     maps = _build_maps(cfg["maps"])
     coupled, selfmaps = maps[0], maps[1:]
     scheme = cfg["scheme"]
-    if scheme in _SCHEME_SELF_MAPS and len(selfmaps) != _SCHEME_SELF_MAPS[scheme]:
-        raise ConfigError(
-            f"scheme {scheme!r} needs {_SCHEME_SELF_MAPS[scheme]} self map(s), "
-            f"got {len(selfmaps)}"
-        )
-    if scheme not in ("single", "pair", "triple", "kmap"):
-        raise ConfigError(f"unknown scheme {scheme!r}")
+    try:
+        check_scheme(scheme, len(selfmaps))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
     seed_pair = cfg["seed_pair"]
     if seed_pair == "search":
@@ -297,17 +285,7 @@ def _cmd_solve(args) -> int:
         raise ConfigError('seed_pair must be [x0, y0] or "search"')
 
     strict = bool(cfg.get("strict_seed", False))
-    if scheme == "single":
-        report = couple_iterate(ctx, coupled, seed, solver_cfg)
-    elif scheme == "pair":
-        report = pair_iterate(ctx, coupled, selfmaps[0], seed, solver_cfg)
-    elif scheme == "triple":
-        report = triple_iterate(ctx, coupled, selfmaps[0], selfmaps[1], seed,
-                                solver_cfg, strict_seed=strict)
-    else:
-        report = kmap_round_robin(ctx, coupled, selfmaps, seed, solver_cfg,
-                                  strict_seed=strict)
-
+    report = run_scheme(scheme, ctx, coupled, selfmaps, seed, solver_cfg, strict)
     _write_trace(report.trace, cfg["output_dir"])
     _write_json(report.as_dict(trace_ref="trace.csv"), cfg["output_dir"])
     return 0 if report.status == "converged" else 1

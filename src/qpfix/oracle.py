@@ -14,15 +14,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq
+from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, induced_leq
 from .solvers import (
     SolverConfig,
     SolverReport,
     _unique_names,
-    couple_iterate,
-    kmap_round_robin,
-    pair_iterate,
-    triple_iterate,
+    couple_iterate,  # noqa: F401 -- bench/test_bench.py reads qpfix.oracle.couple_iterate
+    run_scheme,
+    scheme_for,
+    scheme_phases,
 )
 from .spaces import QPSpace, UnsupportedError, finite_space
 
@@ -215,25 +215,7 @@ SolverFn = Callable[[PreorderCtx, CoupledMap, Sequence[SelfMap], tuple, SolverCo
 
 
 def _default_solver(ctx, coupled, maps, seed, cfg) -> SolverReport:
-    if len(maps) == 0:
-        return couple_iterate(ctx, coupled, seed, cfg)
-    if len(maps) == 1:
-        return pair_iterate(ctx, coupled, maps[0], seed, cfg)
-    if len(maps) == 2:
-        return triple_iterate(ctx, coupled, maps[0], maps[1], seed, cfg)
-    return kmap_round_robin(ctx, coupled, maps, seed, cfg)
-
-
-def _schedule(scheme: str, k: int) -> Callable[[int], str]:
-    """Defining phase of index n >= 1 for each scheme."""
-    if scheme == "single":
-        return lambda n: "F"
-    if scheme == "pair":
-        return lambda n: "F" if n % 2 == 1 else "G"
-    if scheme == "triple":
-        return lambda n: ("H", "F", "G")[(n - 1) % 3]
-    labels = [f"G{i}" for i in range(k, 1, -1)] + ["F", "G1"]
-    return lambda n: labels[(n - 1) % (k + 1)]
+    return run_scheme(scheme_for(len(maps)), ctx, coupled, maps, seed, cfg)
 
 
 @dataclass
@@ -279,7 +261,7 @@ def oracle_vs_solver(
     scheme still lands in the target set).
     """
     maps = list(maps)
-    scheme = {0: "single", 1: "pair", 2: "triple"}.get(len(maps), "kmap")
+    scheme = scheme_for(len(maps))
     oracle = enumerate_points(space, coupled, maps, tol=0.0)
     if scheme == "single":
         target = set(map(tuple, oracle.e1))
@@ -289,19 +271,12 @@ def oracle_vs_solver(
         target = set(map(tuple, oracle.d2))
 
     run = solver_fn if solver_fn is not None else _default_solver
-    schedule = _schedule(scheme, len(maps))
-    phase_map = dict(zip(_schedule_labels(scheme, maps), maps))
-
-    seeds = []
-    for x0 in space.points():
-        for y0 in space.points():
-            fx, fy = coupled(x0, y0), coupled(y0, x0)
-            if cfg.direction == "forward":
-                ok = induced_leq(ctx, x0, fx) and induced_leq(ctx, y0, fy)
-            else:
-                ok = induced_leq(ctx, fx, x0) and induced_leq(ctx, fy, y0)
-            if ok:
-                seeds.append((x0, y0))
+    cycle, phase_map = scheme_phases(scheme, maps)
+    pts = space.points()
+    seeds = [
+        (x0, y0) for x0 in pts for y0 in pts
+        if admissible_seed(ctx, coupled, x0, y0, cfg.direction)
+    ]
 
     disagreements = []
     converged = 0
@@ -320,7 +295,7 @@ def oracle_vs_solver(
             )
         rows = report.trace.rows
         for prev, cur in zip(rows, rows[1:]):
-            label = schedule(cur.n)
+            label = cycle[(cur.n - 1) % len(cycle)]
             if label == "F":
                 ex, ey = coupled(prev.x, prev.y), coupled(prev.y, prev.x)
             else:
@@ -342,16 +317,6 @@ def oracle_vs_solver(
     return AgreementReport(
         scheme, seeds, len(seeds), converged, disagreements, no_seeds=not seeds
     )
-
-
-def _schedule_labels(scheme: str, maps: Sequence[SelfMap]) -> list[str]:
-    if scheme == "single":
-        return []
-    if scheme == "pair":
-        return ["G"]
-    if scheme == "triple":
-        return ["G", "H"]
-    return [f"G{i + 1}" for i in range(len(maps))]
 
 
 @dataclass

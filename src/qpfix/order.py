@@ -201,17 +201,27 @@ def check_isotone(
     return IsotoneReport(counterexamples, checked, applicable)
 
 
+def admissible_seed(
+    ctx: PreorderCtx, coupled: CoupledMap, x0: Point, y0: Point, direction: str = "forward"
+) -> bool:
+    """Both starting inequalities: x0 below F(x0, y0) and y0 below
+    F(y0, x0) for "forward"; both flipped for "reverse"."""
+    fx, fy = coupled(x0, y0), coupled(y0, x0)
+    if direction == "forward":
+        return induced_leq(ctx, x0, fx) and induced_leq(ctx, y0, fy)
+    return induced_leq(ctx, fx, x0) and induced_leq(ctx, fy, y0)
+
+
 def seed_search(
     ctx: PreorderCtx,
     coupled: CoupledMap,
     candidates: Union[Sequence[Point], Sequence[tuple[Point, Point]]],
     direction: str = "forward",
 ) -> Optional[tuple[Point, Point]]:
-    """First candidate pair satisfying both starting inequalities.
+    """First candidate pair that is an :func:`admissible_seed`.
 
-    Forward requires x0 below F(x0, y0) and y0 below F(y0, x0); reverse
-    flips both.  Candidates may be pairs, or single points whose
-    row-major product is searched.  Absence is None, not an error.
+    Candidates may be pairs, or single points whose row-major product is
+    searched.  Absence is None, not an error.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -220,16 +230,9 @@ def seed_search(
         raise ValueError("candidate list must be nonempty")
     if not isinstance(cand[0], (tuple, list)):
         cand = [(a, b) for a in cand for b in cand]
-    for x0, y0 in cand:
-        fx = coupled(x0, y0)
-        fy = coupled(y0, x0)
-        if direction == "forward":
-            ok = induced_leq(ctx, x0, fx) and induced_leq(ctx, y0, fy)
-        else:
-            ok = induced_leq(ctx, fx, x0) and induced_leq(ctx, fy, y0)
-        if ok:
-            return (x0, y0)
-    return None
+    return next(
+        ((x0, y0) for x0, y0 in cand if admissible_seed(ctx, coupled, x0, y0, direction)), None
+    )
 
 
 @dataclass

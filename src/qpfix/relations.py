@@ -79,40 +79,56 @@ def _resolve_pairs(ctx: PreorderCtx, sample) -> Iterable[tuple[Point, Point]]:
     return sample
 
 
+def _relate_pair(
+    side: str, ctx: PreorderCtx, coupled: CoupledMap, g: SelfMap, x: Point, y: Point
+) -> Optional[RelViolation]:
+    """First failing sub-condition of C1/C2 ("left") or D1/D2 ("right").
+
+    Each step yields (a, b) for the left inequality a below b; the right
+    side tests b below a.  Maps are evaluated lazily, in step order.
+    """
+    first, second = ("C1", "C2") if side == "left" else ("D1", "D2")
+
+    def steps():
+        fxy = coupled(x, y)
+        yield first, 1, fxy, g(fxy)
+        gx, gy = g(x), g(y)
+        yield first, 2, gx, coupled(gx, gy)
+        fyx = coupled(y, x)
+        yield second, 1, fyx, g(fyx)
+        yield second, 2, gy, coupled(gy, gx)
+
+    for condition, part, a, b in steps():
+        lhs, rhs = (a, b) if side == "left" else (b, a)
+        if not induced_leq(ctx, lhs, rhs):
+            return RelViolation(condition, part, (x, y), lhs, rhs)
+    return None
+
+
 def relate_pair_left(
     ctx: PreorderCtx, coupled: CoupledMap, g: SelfMap, x: Point, y: Point
 ) -> Optional[RelViolation]:
     """C1/C2 at a single pair; first failing sub-condition, or None."""
-    fxy = coupled(x, y)
-    if not induced_leq(ctx, fxy, g(fxy)):
-        return RelViolation("C1", 1, (x, y), fxy, g(fxy))
-    gx, gy = g(x), g(y)
-    if not induced_leq(ctx, gx, coupled(gx, gy)):
-        return RelViolation("C1", 2, (x, y), gx, coupled(gx, gy))
-    fyx = coupled(y, x)
-    if not induced_leq(ctx, fyx, g(fyx)):
-        return RelViolation("C2", 1, (x, y), fyx, g(fyx))
-    if not induced_leq(ctx, gy, coupled(gy, gx)):
-        return RelViolation("C2", 2, (x, y), gy, coupled(gy, gx))
-    return None
+    return _relate_pair("left", ctx, coupled, g, x, y)
 
 
 def relate_pair_right(
     ctx: PreorderCtx, coupled: CoupledMap, g: SelfMap, x: Point, y: Point
 ) -> Optional[RelViolation]:
     """D1/D2 at a single pair; mirror image of the left check."""
-    fxy = coupled(x, y)
-    if not induced_leq(ctx, g(fxy), fxy):
-        return RelViolation("D1", 1, (x, y), g(fxy), fxy)
-    gx, gy = g(x), g(y)
-    if not induced_leq(ctx, coupled(gx, gy), gx):
-        return RelViolation("D1", 2, (x, y), coupled(gx, gy), gx)
-    fyx = coupled(y, x)
-    if not induced_leq(ctx, g(fyx), fyx):
-        return RelViolation("D2", 1, (x, y), g(fyx), fyx)
-    if not induced_leq(ctx, coupled(gy, gx), gy):
-        return RelViolation("D2", 2, (x, y), coupled(gy, gx), gy)
-    return None
+    return _relate_pair("right", ctx, coupled, g, x, y)
+
+
+def _check_weakly_related(side, ctx, coupled, g, sample) -> RelReport:
+    relate = relate_pair_left if side == "left" else relate_pair_right
+    violations = []
+    checked = 0
+    for x, y in _resolve_pairs(ctx, sample):
+        checked += 1
+        v = relate(ctx, coupled, g, x, y)
+        if v is not None:
+            violations.append(v)
+    return RelReport(side, violations, checked, ctx.slack)
 
 
 def check_weakly_left_related(
@@ -121,14 +137,7 @@ def check_weakly_left_related(
     g: SelfMap,
     sample: Union[str, Iterable[tuple[Point, Point]]] = "grid",
 ) -> RelReport:
-    violations = []
-    checked = 0
-    for x, y in _resolve_pairs(ctx, sample):
-        checked += 1
-        v = relate_pair_left(ctx, coupled, g, x, y)
-        if v is not None:
-            violations.append(v)
-    return RelReport("left", violations, checked, ctx.slack)
+    return _check_weakly_related("left", ctx, coupled, g, sample)
 
 
 def check_weakly_right_related(
@@ -137,14 +146,7 @@ def check_weakly_right_related(
     g: SelfMap,
     sample: Union[str, Iterable[tuple[Point, Point]]] = "grid",
 ) -> RelReport:
-    violations = []
-    checked = 0
-    for x, y in _resolve_pairs(ctx, sample):
-        checked += 1
-        v = relate_pair_right(ctx, coupled, g, x, y)
-        if v is not None:
-            violations.append(v)
-    return RelReport("right", violations, checked, ctx.slack)
+    return _check_weakly_related("right", ctx, coupled, g, sample)
 
 
 # -- sequential continuity ----------------------------------------------

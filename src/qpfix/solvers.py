@@ -21,9 +21,15 @@ import csv
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq
+from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, induced_leq
 from .relations import relate_pair_left, relate_pair_right
 from .spaces import Point, QPSpace
+
+# The phase label of each self map a scheme takes, in the order the maps
+# are passed; kmap (None) takes any number K, labelled G1, ..., GK.  One
+# cycle applies G_K, ..., G_2, F, G_1, so pair runs [F, G] and triple
+# [H, F, G].
+SCHEMES = {"single": (), "pair": ("G",), "triple": ("G", "H"), "kmap": None}
 
 
 @dataclass(frozen=True)
@@ -180,19 +186,37 @@ def _phi_ok(phi: PhiFn, direction: str, slack: float, prev: Point, cur: Point) -
     return phi(cur) <= phi(prev) + slack
 
 
+def scheme_for(k: int) -> str:
+    """The scheme that takes k self maps."""
+    return next((s for s, labels in SCHEMES.items() if labels is not None and len(labels) == k),
+                "kmap")
+
+
+def check_scheme(scheme: str, k: int) -> None:
+    """Raise ValueError unless scheme is known and takes k self maps."""
+    if not isinstance(scheme, str) or scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    labels = SCHEMES[scheme]
+    if labels is not None and len(labels) != k:
+        raise ValueError(f"scheme {scheme!r} needs {len(labels)} self map(s), got {k}")
+
+
+def scheme_phases(scheme: str, maps: Sequence[SelfMap]) -> tuple[list, dict]:
+    """The cycle of phase labels of one round, and the self map of each label."""
+    labels = list(SCHEMES[scheme] or (f"G{i + 1}" for i in range(len(maps))))
+    return labels[:0:-1] + ["F"] + labels[:1], dict(zip(labels, maps))
+
+
 def _run_scheme(
+    scheme: str,
     ctx: PreorderCtx,
     coupled: CoupledMap,
     selfmaps: Sequence[SelfMap],
-    cycle: Sequence[str],
-    phase_maps: dict,
     seed: tuple,
     cfg: SolverConfig,
-    scheme: str,
-    seed_hypothesis: bool,
-    strict_seed: bool,
-    experimental: bool = False,
+    strict_seed: bool = False,
 ) -> SolverReport:
+    cycle, phase_maps = scheme_phases(scheme, selfmaps)
     ectx = ctx if ctx.metric_mode == cfg.metric_mode else replace(ctx, metric_mode=cfg.metric_mode)
     space = ectx.space
     phi = ectx.phi
@@ -224,11 +248,12 @@ def _run_scheme(
         return max(ds.values()) <= cfg.tol
 
     if cfg.verify_hypotheses:
-        if seed_hypothesis:
-            fx, fy = coupled(x, y), coupled(y, x)
-            if not (_chain_ok(ectx, cfg.direction, x, fx) and _chain_ok(ectx, cfg.direction, y, fy)):
+        # the seed hypothesis ties the seed to F, so it binds only when F
+        # comes first in the cycle
+        if cycle[0] == "F":
+            if not admissible_seed(ectx, coupled, x, y, cfg.direction):
                 fail("seed", (x, y), detail="starting pair is not below its image")
-        elif strict_seed and cycle:
+        elif strict_seed:
             nx, ny = apply_phase(cycle[0], x, y)
             if not (_chain_ok(ectx, cfg.direction, x, nx) and _chain_ok(ectx, cfg.direction, y, ny)):
                 fail("seed", (x, y), map_name=cycle[0],
@@ -315,7 +340,7 @@ def _run_scheme(
         trace=IterationTrace(rows, scheme),
         config=cfg,
         violation=violation,
-        experimental=experimental,
+        experimental=scheme == "kmap",
     )
 
 
@@ -329,10 +354,7 @@ def couple_iterate(
     isotonicity of the coupled map); any break aborts the run with
     status hypothesis_violated.
     """
-    return _run_scheme(
-        ctx, coupled, [], ["F"], {}, seed, cfg,
-        scheme="single", seed_hypothesis=True, strict_seed=False,
-    )
+    return _run_scheme("single", ctx, coupled, [], seed, cfg)
 
 
 def pair_iterate(
@@ -347,10 +369,7 @@ def pair_iterate(
     Hypothesis verification checks the seed inequalities and the weak
     relatedness conditions at every visited pair.
     """
-    return _run_scheme(
-        ctx, coupled, [g], ["F", "G"], {"G": g}, seed, cfg,
-        scheme="pair", seed_hypothesis=True, strict_seed=False,
-    )
+    return _run_scheme("pair", ctx, coupled, [g], seed, cfg)
 
 
 def triple_iterate(
@@ -368,10 +387,7 @@ def triple_iterate(
     seed to its first image in this scheme.  Pass strict_seed=True to
     require that link as well.
     """
-    return _run_scheme(
-        ctx, coupled, [g, h], ["H", "F", "G"], {"G": g, "H": h}, seed, cfg,
-        scheme="triple", seed_hypothesis=False, strict_seed=strict_seed,
-    )
+    return _run_scheme("triple", ctx, coupled, [g, h], seed, cfg, strict_seed)
 
 
 def kmap_round_robin(
@@ -390,16 +406,33 @@ def kmap_round_robin(
     scheme up to index bookkeeping.
     """
     gs = list(gs)
-    if not gs:
+    return _run_scheme("kmap" if gs else "single", ctx, coupled, gs, seed, cfg, strict_seed)
+
+
+def run_scheme(
+    scheme: str,
+    ctx: PreorderCtx,
+    coupled: CoupledMap,
+    maps: Sequence[SelfMap],
+    seed: tuple,
+    cfg: SolverConfig = SolverConfig(),
+    strict_seed: bool = False,
+) -> SolverReport:
+    """Run a scheme by name on its self maps, passed in label order.
+
+    Every run enters through the scheme's public function above.
+    ``strict_seed`` applies to the schemes whose cycle does not start
+    with F.  Raises ValueError for an unknown scheme or a wrong map count.
+    """
+    maps = list(maps)
+    check_scheme(scheme, len(maps))
+    if scheme == "single":
         return couple_iterate(ctx, coupled, seed, cfg)
-    k = len(gs)
-    labels = [f"G{i}" for i in range(k, 1, -1)] + ["F", "G1"]
-    phase_maps = {f"G{i + 1}": m for i, m in enumerate(gs)}
-    return _run_scheme(
-        ctx, coupled, gs, labels, phase_maps, seed, cfg,
-        scheme="kmap", seed_hypothesis=(k == 1), strict_seed=strict_seed,
-        experimental=True,
-    )
+    if scheme == "pair":
+        return pair_iterate(ctx, coupled, maps[0], seed, cfg)
+    if scheme == "triple":
+        return triple_iterate(ctx, coupled, maps[0], maps[1], seed, cfg, strict_seed)
+    return kmap_round_robin(ctx, coupled, maps, seed, cfg, strict_seed)
 
 
 # -- point classification -----------------------------------------------
