@@ -50,6 +50,7 @@ from .solvers import (
     couple_iterate,
     kmap_round_robin,
     pair_iterate,
+    run_scheme,
     triple_iterate,
     verify_point,
 )

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .order import CoupledMap, PhiFn, SelfMap
-from .spaces import QPSpace, finite_space, interval_space
+from .spaces import QPSpace, finite_space, interval_space, upper_interval_space
 
 
 class CatalogError(LookupError):
@@ -48,21 +48,17 @@ PHI_LABELS = {
 
 
 def get_space(space_id: str, **params) -> QPSpace:
-    if space_id == "upper_interval":
+    built = _space(space_id, params)
+    _reject_extra(space_id, params)
+    return built
+
+
+def _space(space_id: str, params: dict) -> QPSpace:
+    if space_id in ("upper_interval", "lower_interval"):
         lo = float(params.pop("lo", 0.0))
         hi = float(params.pop("hi", 1.0))
-        _reject_extra("upper_interval", params)
-        return interval_space(
-            lo,
-            hi,
-            lambda x, y: max(x - y, 0.0),
-            name=f"upper_interval[{lo},{hi}]",
-            cross_fn=lambda a, b: np.maximum(a[:, None] - b[None, :], 0.0),
-        )
-    if space_id == "lower_interval":
-        lo = float(params.pop("lo", 0.0))
-        hi = float(params.pop("hi", 1.0))
-        _reject_extra("lower_interval", params)
+        if space_id == "upper_interval":
+            return upper_interval_space(lo, hi)
         return interval_space(
             lo,
             hi,
@@ -72,83 +68,77 @@ def get_space(space_id: str, **params) -> QPSpace:
         )
     if space_id == "finite":
         matrix = params.pop("matrix")
-        _reject_extra("finite", params)
         return finite_space(matrix)
     raise CatalogError(f"unknown space id {space_id!r}")
 
 
 def get_phi(phi_id: str, **params) -> PhiFn:
+    built = _phi(phi_id, params)
+    _reject_extra(phi_id, params)
+    return built
+
+
+def _phi(phi_id: str, params: dict) -> PhiFn:
     direction = params.pop("direction", "above")
     if phi_id == "identity":
         bound = float(params.pop("bound", 1.0))
-        _reject_extra("identity", params)
         return PhiFn(lambda x: float(x), direction, bound, name="identity")
     if phi_id == "arctan":
         bound = float(params.pop("bound", math.pi / 2))
-        _reject_extra("arctan", params)
         return PhiFn(lambda x: math.atan(x), direction, bound, name="arctan")
     if phi_id == "neg_exp":
         bound = float(params.pop("bound", 0.0))
-        _reject_extra("neg_exp", params)
         return PhiFn(lambda x: -math.exp(-x), direction, bound, name="neg_exp")
     if phi_id == "table":
         values = [float(v) for v in params.pop("values")]
         default = max(values) if direction == "above" else min(values)
         bound = float(params.pop("bound", default))
-        _reject_extra("table", params)
         return PhiFn(lambda i: values[int(i)], direction, bound, name="phi_table")
     raise CatalogError(f"unknown phi id {phi_id!r}")
 
 
 def get_map(map_id: str, **params) -> Union[CoupledMap, SelfMap]:
+    built = _map(map_id, params)
+    _reject_extra(map_id, params)
+    return built
+
+
+def _map(map_id: str, params: dict) -> Union[CoupledMap, SelfMap]:
     if map_id == "coupled_max":
-        _reject_extra(map_id, params)
         return CoupledMap(lambda x, y: max(x, y), name="coupled_max")
     if map_id == "coupled_min":
-        _reject_extra(map_id, params)
         return CoupledMap(lambda x, y: min(x, y), name="coupled_min")
     if map_id == "coupled_affine":
         a = float(params.pop("a", 0.25))
         b = float(params.pop("b", 0.25))
         c = float(params.pop("c", 0.5))
-        _reject_extra(map_id, params)
         return CoupledMap(lambda x, y: a * x + b * y + c, name="coupled_affine")
     if map_id == "coupled_product":
-        _reject_extra(map_id, params)
         return CoupledMap(lambda x, y: x * y, name="coupled_product")
     if map_id == "coupled_projection":
-        _reject_extra(map_id, params)
         return CoupledMap(lambda x, y: x, name="coupled_projection")
     if map_id == "coupled_table":
         matrix = np.asarray(params.pop("matrix"), dtype=int)
-        _reject_extra(map_id, params)
         return CoupledMap(lambda x, y: int(matrix[int(x), int(y)]), name="coupled_table")
     if map_id == "affine_pull":
         a = float(params.pop("a", 0.5))
         b = float(params.pop("b", 0.5))
-        _reject_extra(map_id, params)
         return SelfMap(lambda x: a * x + b, name="affine_pull")
     if map_id == "halve":
-        _reject_extra(map_id, params)
         return SelfMap(lambda x: x / 2, name="halve")
     if map_id == "sqrt_pull":
-        _reject_extra(map_id, params)
         return SelfMap(lambda x: math.sqrt(x), name="sqrt_pull")
     if map_id == "cbrt_pull":
-        _reject_extra(map_id, params)
         return SelfMap(lambda x: x ** (1.0 / 3.0), name="cbrt_pull")
     if map_id == "identity":
-        _reject_extra(map_id, params)
         return SelfMap(lambda x: x, name="identity")
     if map_id == "step":
         threshold = float(params.pop("threshold", 0.5))
         low = float(params.pop("low", 0.0))
         high = float(params.pop("high", 1.0))
-        _reject_extra(map_id, params)
         return SelfMap(lambda x: high if x >= threshold else low, name="step")
     if map_id == "table":
         values = [int(v) for v in params.pop("values")]
-        _reject_extra(map_id, params)
         return SelfMap(lambda i: values[int(i)], name="table")
     raise CatalogError(f"unknown map id {map_id!r}")
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,50 +63,53 @@ def _load_config(path: str, allowed: set, required: set) -> dict:
     return cfg
 
 
+def _from_catalog(what: str, build, obj):
+    """Build a catalog entry from {"id": ..., **params}."""
+    if not isinstance(obj, dict) or "id" not in obj:
+        raise ConfigError(f'{what} must be an object with an "id"')
+    params = dict(obj)
+    entry_id = params.pop("id")
+    try:
+        return build(entry_id, **params)
+    except (catalog.CatalogError, KeyError, ValueError) as exc:
+        raise ConfigError(f"bad {what} config: {exc}")
+
+
 def _build_space(obj: dict):
-    if not isinstance(obj, dict):
-        raise ConfigError("space must be an object")
-    if "kind" in obj:
+    if isinstance(obj, dict) and "kind" in obj:
         try:
             return space_from_json(obj)
         except ValueError as exc:
             raise ConfigError(str(exc))
-    params = dict(obj)
-    space_id = params.pop("id", None)
-    if space_id is None:
-        raise ConfigError('space needs either "kind" or "id"')
+    return _from_catalog("space", catalog.get_space, obj)
+
+
+def _number(cfg: dict, key: str, default: float) -> float:
     try:
-        return catalog.get_space(space_id, **params)
-    except (catalog.CatalogError, KeyError, ValueError) as exc:
-        raise ConfigError(f"bad space config: {exc}")
+        value = float(cfg.get(key, default))
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):  # JSON admits NaN and Infinity
+        raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
+    return value
 
 
-def _build_phi(obj: dict):
-    if not isinstance(obj, dict) or "id" not in obj:
-        raise ConfigError('phi must be an object with an "id"')
-    params = dict(obj)
-    phi_id = params.pop("id")
+def _build_ctx(cfg: dict, metric_mode: Optional[str] = None) -> PreorderCtx:
+    """The order context of a config: its space, phi, slack and metric
+    mode.  A solver's own ``metric_mode``, when set, takes precedence."""
+    space = _build_space(cfg["space"])
+    phi = _from_catalog("phi", catalog.get_phi, cfg["phi"])
+    slack = _number(cfg, "slack", 1e-12)
     try:
-        return catalog.get_phi(phi_id, **params)
-    except (catalog.CatalogError, KeyError, ValueError) as exc:
-        raise ConfigError(f"bad phi config: {exc}")
-
-
-def _build_map(obj: dict):
-    if not isinstance(obj, dict) or "id" not in obj:
-        raise ConfigError('each map must be an object with an "id"')
-    params = dict(obj)
-    map_id = params.pop("id")
-    try:
-        return catalog.get_map(map_id, **params)
-    except (catalog.CatalogError, KeyError, ValueError) as exc:
-        raise ConfigError(f"bad map config: {exc}")
+        return PreorderCtx(space, phi, metric_mode or cfg.get("metric_mode", "plain"), slack)
+    except ValueError as exc:
+        raise ConfigError(f"bad order config: {exc}")
 
 
 def _build_maps(objs, want_coupled_first=True):
     if not isinstance(objs, list) or not objs:
         raise ConfigError("maps must be a nonempty list")
-    maps = [_build_map(o) for o in objs]
+    maps = [_from_catalog("map", catalog.get_map, o) for o in objs]
     if want_coupled_first:
         if not isinstance(maps[0], CoupledMap):
             raise ConfigError("the first map must be a coupled (two-argument) map")
@@ -114,15 +119,12 @@ def _build_maps(objs, want_coupled_first=True):
     return maps
 
 
-_SOLVER_KEYS = {"tol", "max_iter", "stall_window", "direction", "metric_mode", "verify_hypotheses"}
-
-
 def _build_solver_cfg(obj: Optional[dict]) -> SolverConfig:
     if obj is None:
         return SolverConfig()
     if not isinstance(obj, dict):
         raise ConfigError("solver must be an object")
-    unknown = set(obj) - _SOLVER_KEYS
+    unknown = set(obj) - {f.name for f in fields(SolverConfig)}
     if unknown:
         raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
     try:
@@ -135,13 +137,7 @@ def _build_solver_cfg(obj: Optional[dict]) -> SolverConfig:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -177,7 +173,7 @@ def _cmd_check_space(args) -> int:
     )
     space = _build_space(cfg["space"])
     sample = cfg.get("sample", "default")
-    slack = float(cfg.get("slack", 1e-12))
+    slack = _number(cfg, "slack", 1e-12)
     if sample not in ("default", "exhaustive"):
         raise ConfigError('sample must be "default" or "exhaustive"')
     axioms = check_axioms(space, sample, slack=slack)
@@ -196,16 +192,11 @@ def _cmd_check_order(args) -> int:
         allowed={"space", "phi", "maps", "sample", "slack", "metric_mode", "output_dir"},
         required={"space", "phi", "output_dir"},
     )
-    space = _build_space(cfg["space"])
-    phi = _build_phi(cfg["phi"])
-    ctx = PreorderCtx(
-        space, phi,
-        metric_mode=cfg.get("metric_mode", "plain"),
-        slack=float(cfg.get("slack", 1e-12)),
-    )
+    ctx = _build_ctx(cfg)
+    space = ctx.space
     sample = cfg.get("sample", "default")
     laws = check_preorder_laws(ctx, sample)
-    bound = check_phi_bound(phi, space.grid() if not space.is_finite else space.points())
+    bound = check_phi_bound(ctx.phi, space.grid())
     payload = {"laws": laws.as_dict(), "phi_bound": bound.as_dict()}
     ok = laws.passed and bound.passed
     if "maps" in cfg:
@@ -224,24 +215,15 @@ def _cmd_check_relations(args) -> int:
         allowed={"space", "phi", "maps", "relation", "slack", "metric_mode", "output_dir"},
         required={"space", "phi", "maps", "output_dir"},
     )
-    space = _build_space(cfg["space"])
-    phi = _build_phi(cfg["phi"])
-    ctx = PreorderCtx(
-        space, phi,
-        metric_mode=cfg.get("metric_mode", "plain"),
-        slack=float(cfg.get("slack", 1e-12)),
-    )
+    ctx = _build_ctx(cfg)
     maps = _build_maps(cfg["maps"])
     if len(maps) != 2:
         raise ConfigError("check-relations needs exactly [coupled map, self map]")
-    relation = cfg.get("relation", "left")
-    sample = "exhaustive" if space.is_finite else "grid"
-    if relation == "left":
-        report = check_weakly_left_related(ctx, maps[0], maps[1], sample)
-    elif relation == "right":
-        report = check_weakly_right_related(ctx, maps[0], maps[1], sample)
-    else:
+    check = {"left": check_weakly_left_related, "right": check_weakly_right_related}.get(
+        cfg.get("relation", "left"))
+    if check is None:
         raise ConfigError('relation must be "left" or "right"')
+    report = check(ctx, maps[0], maps[1], "exhaustive" if ctx.space.is_finite else "grid")
     _write_json(report.as_dict(), cfg["output_dir"])
     return 0 if report.passed else 1
 
@@ -253,14 +235,9 @@ def _cmd_solve(args) -> int:
                  "strict_seed", "slack", "output_dir"},
         required={"space", "phi", "maps", "scheme", "seed_pair", "output_dir"},
     )
-    space = _build_space(cfg["space"])
-    phi = _build_phi(cfg["phi"])
     solver_cfg = _build_solver_cfg(cfg.get("solver"))
-    ctx = PreorderCtx(
-        space, phi,
-        metric_mode=solver_cfg.metric_mode,
-        slack=float(cfg.get("slack", 1e-12)),
-    )
+    ctx = _build_ctx(cfg, solver_cfg.metric_mode)
+    space = ctx.space
     maps = _build_maps(cfg["maps"])
     coupled, selfmaps = maps[0], maps[1:]
     scheme = cfg["scheme"]
@@ -271,8 +248,7 @@ def _cmd_solve(args) -> int:
 
     seed_pair = cfg["seed_pair"]
     if seed_pair == "search":
-        candidates = space.points() if space.is_finite else space.grid()
-        seed = seed_search(ctx, coupled, candidates, direction=solver_cfg.direction)
+        seed = seed_search(ctx, coupled, space.grid(), direction=solver_cfg.direction)
         if seed is None:
             _write_json(
                 {"status": "no_seed", "detail": "no admissible starting pair found"},
@@ -280,7 +256,12 @@ def _cmd_solve(args) -> int:
             )
             return 1
     elif isinstance(seed_pair, list) and len(seed_pair) == 2:
-        seed = tuple(int(v) if space.is_finite else float(v) for v in seed_pair)
+        try:
+            seed = tuple(int(v) if space.is_finite else float(v) for v in seed_pair)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad seed_pair: {exc}")
+        if not all(space.contains(v) for v in seed):
+            raise ConfigError(f"seed_pair {seed_pair!r} is not in the carrier of {space.name}")
     else:
         raise ConfigError('seed_pair must be [x0, y0] or "search"')
 
@@ -301,7 +282,7 @@ def _cmd_oracle(args) -> int:
     if not space.is_finite:
         raise ConfigError("oracle needs a finite space")
     maps = _build_maps(cfg["maps"])
-    report = enumerate_points(space, maps[0], maps[1:], tol=float(cfg.get("tol", 0.0)))
+    report = enumerate_points(space, maps[0], maps[1:], tol=_number(cfg, "tol", 0.0))
     _write_json(report.as_dict(), cfg["output_dir"])
     return 0
 

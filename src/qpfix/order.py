@@ -201,15 +201,18 @@ def check_isotone(
     return IsotoneReport(counterexamples, checked, applicable)
 
 
+def directed_leq(ctx: PreorderCtx, direction: str, a: Point, b: Point) -> bool:
+    """a below b for "forward" iteration, a above b for "reverse"."""
+    return induced_leq(ctx, a, b) if direction == "forward" else induced_leq(ctx, b, a)
+
+
 def admissible_seed(
     ctx: PreorderCtx, coupled: CoupledMap, x0: Point, y0: Point, direction: str = "forward"
 ) -> bool:
     """Both starting inequalities: x0 below F(x0, y0) and y0 below
     F(y0, x0) for "forward"; both flipped for "reverse"."""
     fx, fy = coupled(x0, y0), coupled(y0, x0)
-    if direction == "forward":
-        return induced_leq(ctx, x0, fx) and induced_leq(ctx, y0, fy)
-    return induced_leq(ctx, fx, x0) and induced_leq(ctx, fy, y0)
+    return directed_leq(ctx, direction, x0, fx) and directed_leq(ctx, direction, y0, fy)
 
 
 def seed_search(

@@ -18,10 +18,10 @@ immediately without appending duplicate rows.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
-from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, induced_leq
+from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, directed_leq
 from .relations import relate_pair_left, relate_pair_right
 from .spaces import Point, QPSpace
 
@@ -38,7 +38,7 @@ class SolverConfig:
     max_iter: int = 10000
     stall_window: int = 3
     direction: str = "forward"  # "forward" | "reverse"
-    metric_mode: str = "plain"  # overrides the context's mode for the run
+    metric_mode: Optional[str] = None  # None runs the context's mode
     verify_hypotheses: bool = False
 
     def __post_init__(self):
@@ -50,7 +50,7 @@ class SolverConfig:
             raise ValueError("stall_window must be at least 1")
         if self.direction not in ("forward", "reverse"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.metric_mode not in ("plain", "symmetrized"):
+        if self.metric_mode not in (None, "plain", "symmetrized"):
             raise ValueError(f"unknown metric mode {self.metric_mode!r}")
 
 
@@ -132,14 +132,7 @@ class SolverReport:
             "iterations": self.iterations,
             "trace_ref": trace_ref if trace_ref is not None else len(self.trace.rows),
             "violation": None if self.violation is None else self.violation.as_dict(),
-            "config": {
-                "tol": self.config.tol,
-                "max_iter": self.config.max_iter,
-                "stall_window": self.config.stall_window,
-                "direction": self.config.direction,
-                "metric_mode": self.config.metric_mode,
-                "verify_hypotheses": self.config.verify_hypotheses,
-            },
+            "config": asdict(self.config),
         }
 
 
@@ -172,12 +165,6 @@ def _residuals(space: QPSpace, coupled: CoupledMap, named_maps, x: Point, y: Poi
     for name, m in named_maps:
         put(name, [(m(x), x), (m(y), y)])
     return res_d, res_dinv, res_ds
-
-
-def _chain_ok(ctx: PreorderCtx, direction: str, prev: Point, cur: Point) -> bool:
-    if direction == "forward":
-        return induced_leq(ctx, prev, cur)
-    return induced_leq(ctx, cur, prev)
 
 
 def _phi_ok(phi: PhiFn, direction: str, slack: float, prev: Point, cur: Point) -> bool:
@@ -217,6 +204,8 @@ def _run_scheme(
     strict_seed: bool = False,
 ) -> SolverReport:
     cycle, phase_maps = scheme_phases(scheme, selfmaps)
+    if cfg.metric_mode is None:  # run the context's mode, and report it
+        cfg = replace(cfg, metric_mode=ctx.metric_mode)
     ectx = ctx if ctx.metric_mode == cfg.metric_mode else replace(ctx, metric_mode=cfg.metric_mode)
     space = ectx.space
     phi = ectx.phi
@@ -255,7 +244,8 @@ def _run_scheme(
                 fail("seed", (x, y), detail="starting pair is not below its image")
         elif strict_seed:
             nx, ny = apply_phase(cycle[0], x, y)
-            if not (_chain_ok(ectx, cfg.direction, x, nx) and _chain_ok(ectx, cfg.direction, y, ny)):
+            if not (directed_leq(ectx, cfg.direction, x, nx)
+                    and directed_leq(ectx, cfg.direction, y, ny)):
                 fail("seed", (x, y), map_name=cycle[0],
                      detail="strict mode: starting pair is not below its first image")
 
@@ -266,9 +256,7 @@ def _run_scheme(
                     else relate_pair_right(ectx, coupled, m, x, y)
                 if v is not None:
                     fail(v.condition, v.pair, map_name=name,
-                         detail=f"part {v.part}: {v.lhs!r} not below {v.rhs!r}"
-                         if cfg.direction == "forward"
-                         else f"part {v.part}: {v.lhs!r} not above {v.rhs!r}")
+                         detail=f"part {v.part}: {v.lhs!r} not below {v.rhs!r}")
                     break
             if status is not None:
                 break
@@ -301,8 +289,8 @@ def _run_scheme(
             prev_x, prev_y = x, y
             x, y = nx, ny
             if cfg.verify_hypotheses and n >= 2:
-                if not (_chain_ok(ectx, cfg.direction, prev_x, x)
-                        and _chain_ok(ectx, cfg.direction, prev_y, y)):
+                if not (directed_leq(ectx, cfg.direction, prev_x, x)
+                        and directed_leq(ectx, cfg.direction, prev_y, y)):
                     fail("chain", (prev_x, x, prev_y, y),
                          detail="trace broke the order chain")
                     break

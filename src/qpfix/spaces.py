@@ -206,6 +206,18 @@ def interval_space(
     return QPSpace(IntervalCarrier(float(lo), float(hi)), dist_fn, name=name, cross_fn=cross_fn)
 
 
+def upper_interval_space(lo: float, hi: float) -> QPSpace:
+    """[lo, hi] with the upper quasi-metric d(x, y) = max(x - y, 0)."""
+    lo, hi = float(lo), float(hi)
+    return interval_space(
+        lo,
+        hi,
+        lambda x, y: max(x - y, 0.0),
+        name=f"upper_interval[{lo},{hi}]",
+        cross_fn=lambda a, b: np.maximum(a[:, None] - b[None, :], 0.0),
+    )
+
+
 def finite_space(matrix: Iterable[Iterable[float]], name: str = "finite") -> QPSpace:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -367,14 +379,7 @@ def space_from_json(obj: dict) -> QPSpace:
     if kind == "interval":
         if obj.get("dist", "upper") != "upper":
             raise ValueError(f"unknown interval distance {obj.get('dist')!r}")
-        lo, hi = float(obj["lo"]), float(obj["hi"])
-        return interval_space(
-            lo,
-            hi,
-            lambda x, y: max(x - y, 0.0),
-            name=f"upper_interval[{lo},{hi}]",
-            cross_fn=lambda a, b: np.maximum(a[:, None] - b[None, :], 0.0),
-        )
+        return upper_interval_space(obj["lo"], obj["hi"])
     raise ValueError(f"unknown space kind {kind!r}")
 
 

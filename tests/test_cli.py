@@ -194,6 +194,27 @@ def test_config_error_paths(tmp_path):
     # unknown solver field
     cfg = dict(PAIR_CONFIG, solver={"tol": 1e-9, "warp": 9}, output_dir=str(tmp_path / "o"))
     assert main(["solve", "--config", _write(tmp_path / "w.json", cfg)]) == 2
+    # seed_pair entries that are not numbers
+    cfg = dict(PAIR_CONFIG, seed_pair=["a", 0], output_dir=str(tmp_path / "o"))
+    assert main(["solve", "--config", _write(tmp_path / "s.json", cfg)]) == 2
+    # seed_pair outside the carrier
+    cfg = dict(PAIR_CONFIG, seed_pair=[0.0, 2.0], output_dir=str(tmp_path / "o"))
+    assert main(["solve", "--config", _write(tmp_path / "sc.json", cfg)]) == 2
+    # non-numeric slack and an unknown metric mode in check-order / check-relations
+    order_cfg = {
+        "schema": "1",
+        "space": {"id": "upper_interval"},
+        "phi": {"id": "identity", "bound": 1.0},
+        "maps": [{"id": "coupled_max"}, {"id": "halve"}],
+        "output_dir": str(tmp_path / "o"),
+    }
+    cfg = dict(order_cfg, slack="abc")
+    assert main(["check-order", "--config", _write(tmp_path / "sl.json", cfg)]) == 2
+    cfg = dict(order_cfg, slack=float("nan"))
+    assert main(["check-order", "--config", _write(tmp_path / "sn.json", cfg)]) == 2
+    cfg = dict(order_cfg, metric_mode="weird")
+    assert main(["check-order", "--config", _write(tmp_path / "mo.json", cfg)]) == 2
+    assert main(["check-relations", "--config", _write(tmp_path / "mr.json", cfg)]) == 2
     # missing config file
     assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
     # unknown subcommand

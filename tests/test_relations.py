@@ -4,7 +4,7 @@ import numpy as np
 
 from qpfix import catalog
 from qpfix.oracle import random_chain_selfmap, random_finite_space, random_isotone_coupled, random_phi_table
-from qpfix.order import PhiFn, PreorderCtx, SelfMap, induced_leq
+from qpfix.order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq
 from qpfix.relations import (
     Probe,
     check_sequential_continuity,
@@ -152,3 +152,17 @@ def test_probe_without_limit_is_skipped(unit_space):
     assert report.results[0].verdict == "skipped"
     assert report.checked == 0
     assert report.passed  # nothing failed, nothing was shown either
+
+
+def test_relate_pair_stops_at_the_first_failing_step(unit_ctx):
+    # both sides evaluate the maps lazily and in the same order: a pair
+    # failing part 1 costs one coupled and one self-map evaluation
+    for relate, condition in ((relate_pair_left, "C1"), (relate_pair_right, "D1")):
+        calls = []
+        coupled = CoupledMap(lambda x, y: calls.append("F") or min(x, y), name="F")
+        g = SelfMap(lambda x: calls.append("g") or (x / 2 if condition == "C1" else 1.0))
+        v = relate(unit_ctx, coupled, g, 0.5, 0.5)
+        assert (v.condition, v.part) == (condition, 1)
+        assert calls == ["F", "g"]
+        # the violation names the failed inequality lhs below rhs
+        assert not induced_leq(unit_ctx, v.lhs, v.rhs)

@@ -3,12 +3,16 @@ import csv
 import pytest
 
 from qpfix import catalog
-from qpfix.order import CoupledMap, SelfMap, induced_leq
+from qpfix.order import CoupledMap, PreorderCtx, SelfMap, induced_leq
 from qpfix.solvers import (
     SolverConfig,
+    check_scheme,
     couple_iterate,
     kmap_round_robin,
     pair_iterate,
+    run_scheme,
+    scheme_for,
+    scheme_phases,
     triple_iterate,
     verify_point,
 )
@@ -314,3 +318,68 @@ def test_metric_mode_override_runs_symmetrized(unit_ctx):
     report = couple_iterate(unit_ctx, F_AFFINE, (0.0, 0.0), cfg)
     assert report.status == "converged"
     assert abs(report.candidate[0] - 1.0) <= 1e-9
+
+
+def test_metric_mode_default_follows_context(unit_space):
+    ctx = PreorderCtx(unit_space, catalog.get_phi("identity", bound=1.0),
+                      metric_mode="symmetrized")
+    report = couple_iterate(ctx, F_AFFINE, (0.0, 0.0), SolverConfig(verify_hypotheses=True))
+    assert report.status == "converged"
+    assert report.config.metric_mode == "symmetrized"
+    assert report.as_dict()["config"]["metric_mode"] == "symmetrized"
+    # an explicit mode still overrides the context's
+    plain = couple_iterate(ctx, F_AFFINE, (0.0, 0.0), SolverConfig(metric_mode="plain"))
+    assert plain.config.metric_mode == "plain"
+
+
+def test_reverse_violation_detail_reads_below(unit_ctx):
+    cfg = SolverConfig(direction="reverse", verify_hypotheses=True)
+    report = pair_iterate(unit_ctx, catalog.get_map("coupled_min"), SQRT, (0.5, 0.5), cfg)
+    assert report.status == "hypothesis_violated"
+    assert report.violation.condition == "D1"
+    # the failed test is lhs below rhs: sqrt(0.5) below 0.5
+    assert report.violation.detail == "part 1: 0.7071067811865476 not below 0.5"
+
+
+# -- scheme table ---------------------------------------------------------------
+
+
+def test_scheme_table_cycles_and_labels():
+    g1, g2, g3 = PULL, SQRT, HALVE
+    assert scheme_phases("single", []) == (["F"], {})
+    assert scheme_phases("pair", [g1]) == (["F", "G"], {"G": g1})
+    assert scheme_phases("triple", [g1, g2]) == (["H", "F", "G"], {"G": g1, "H": g2})
+    assert scheme_phases("kmap", [g1, g2, g3]) == (
+        ["G3", "G2", "F", "G1"], {"G1": g1, "G2": g2, "G3": g3}
+    )
+    assert [scheme_for(k) for k in range(5)] == ["single", "pair", "triple", "kmap", "kmap"]
+
+
+def test_check_scheme_rejects_unknown_names_and_counts():
+    check_scheme("kmap", 0)
+    check_scheme("kmap", 7)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        check_scheme("quad", 4)
+    with pytest.raises(ValueError, match="needs 2 self map"):
+        check_scheme("triple", 1)
+
+
+def test_run_scheme_matches_public_functions(unit_ctx):
+    cfg = SolverConfig(verify_hypotheses=True)
+    seed = (0.25, 0.25)
+    cbrt = catalog.get_map("cbrt_pull")
+    pairs = [
+        (run_scheme("single", unit_ctx, F_MAX, [], seed, cfg),
+         couple_iterate(unit_ctx, F_MAX, seed, cfg)),
+        (run_scheme("pair", unit_ctx, F_MAX, [PULL], seed, cfg),
+         pair_iterate(unit_ctx, F_MAX, PULL, seed, cfg)),
+        (run_scheme("triple", unit_ctx, F_MAX, [PULL, HALVE], seed, cfg, strict_seed=True),
+         triple_iterate(unit_ctx, F_MAX, PULL, HALVE, seed, cfg, strict_seed=True)),
+        (run_scheme("kmap", unit_ctx, F_MAX, [PULL, SQRT, cbrt], seed, cfg),
+         kmap_round_robin(unit_ctx, F_MAX, [PULL, SQRT, cbrt], seed, cfg)),
+    ]
+    for by_name, direct in pairs:
+        assert by_name.as_dict() == direct.as_dict()
+    assert pairs[2][0].status == "hypothesis_violated"
+    with pytest.raises(ValueError):
+        run_scheme("pair", unit_ctx, F_MAX, [], seed, cfg)
