@@ -118,8 +118,8 @@ def _map(map_id: str, params: dict) -> Union[CoupledMap, SelfMap]:
     if map_id == "coupled_projection":
         return CoupledMap(lambda x, y: x, name="coupled_projection")
     if map_id == "coupled_table":
-        matrix = np.asarray(params.pop("matrix"), dtype=int)
-        return CoupledMap(lambda x, y: int(matrix[int(x), int(y)]), name="coupled_table")
+        rows = np.asarray(params.pop("matrix"), dtype=int).tolist()
+        return CoupledMap(lambda x, y: rows[int(x)][int(y)], name="coupled_table")
     if map_id == "affine_pull":
         a = float(params.pop("a", 0.5))
         b = float(params.pop("b", 0.5))

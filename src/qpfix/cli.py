@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import catalog
-from .oracle import enumerate_points, run_agreement_campaign
+from .oracle import ORACLE_POINT_CAP, enumerate_points, run_agreement_campaign
 from .order import (
     CoupledMap,
     PreorderCtx,
@@ -30,7 +30,7 @@ from .order import (
 )
 from .relations import check_weakly_left_related, check_weakly_right_related
 from .solvers import SolverConfig, check_scheme, run_scheme
-from .spaces import check_axioms, check_T0, space_from_json
+from .spaces import DomainError, check_axioms, check_T0, space_from_json
 
 SCHEMA_VERSION = "1"
 
@@ -248,7 +248,11 @@ def _cmd_solve(args) -> int:
 
     seed_pair = cfg["seed_pair"]
     if seed_pair == "search":
-        seed = seed_search(ctx, coupled, space.grid(), direction=solver_cfg.direction)
+        try:
+            seed = seed_search(ctx, coupled, space.grid(), direction=solver_cfg.direction)
+        except DomainError as exc:
+            _write_json({"status": "domain_escape", "detail": str(exc)}, cfg["output_dir"])
+            return 1
         if seed is None:
             _write_json(
                 {"status": "no_seed", "detail": "no admissible starting pair found"},
@@ -282,7 +286,10 @@ def _cmd_oracle(args) -> int:
     if not space.is_finite:
         raise ConfigError("oracle needs a finite space")
     maps = _build_maps(cfg["maps"])
-    report = enumerate_points(space, maps[0], maps[1:], tol=_number(cfg, "tol", 0.0))
+    try:
+        report = enumerate_points(space, maps[0], maps[1:], tol=_number(cfg, "tol", 0.0))
+    except DomainError as exc:
+        raise ConfigError(f"bad map: {exc}")
     _write_json(report.as_dict(), cfg["output_dir"])
     return 0
 
@@ -300,12 +307,24 @@ def _cmd_compare(args) -> int:
     if unknown:
         raise ConfigError(f"unknown campaign fields: {sorted(unknown)}")
     solver_cfg = _build_solver_cfg(cfg.get("solver")) if "solver" in cfg else None
+    try:
+        instances = int(camp.get("instances", 100))
+        min_points = int(camp.get("min_points", 2))
+        max_points = int(camp.get("max_points", 6))
+        map_counts = tuple(int(k) for k in camp.get("map_counts", (0, 1, 2)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad campaign config: {exc}")
+    if instances < 0 or not 1 <= min_points <= max_points <= ORACLE_POINT_CAP:
+        raise ConfigError("campaign needs instances >= 0 and "
+                          f"1 <= min_points <= max_points <= {ORACLE_POINT_CAP}")
+    if not map_counts or min(map_counts) < 0:
+        raise ConfigError("map_counts must be a nonempty list of counts >= 0")
     report = run_agreement_campaign(
         seed=args.seed,
-        instances=int(camp.get("instances", 100)),
-        min_points=int(camp.get("min_points", 2)),
-        max_points=int(camp.get("max_points", 6)),
-        map_counts=tuple(camp.get("map_counts", (0, 1, 2))),
+        instances=instances,
+        min_points=min_points,
+        max_points=max_points,
+        map_counts=map_counts,
         cfg=solver_cfg,
     )
     payload = report.as_dict()

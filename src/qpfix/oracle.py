@@ -1,7 +1,9 @@
 """Brute-force ground truth on finite spaces.
 
 Everything here scans all n^2 carrier pairs, so it is exact and
-independent of the iteration machinery: solver outputs are validated
+independent of the iteration machinery.  The maps are tabulated once per
+instance, every image checked against the carrier, and the scans are
+array operations on those tables.  Solver outputs are validated
 against these sets, and random instances are generated so that the
 iteration hypotheses are satisfiable by construction (distance matrices
 are min-plus closed, coupled maps take values on an order chain).
@@ -14,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, induced_leq
+from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq, relation_matrix
 from .solvers import (
     SolverConfig,
     SolverReport,
@@ -24,9 +26,9 @@ from .solvers import (
     scheme_for,
     scheme_phases,
 )
-from .spaces import QPSpace, UnsupportedError, finite_space
+from .spaces import DomainError, QPSpace, UnsupportedError, finite_space
 
-ORACLE_POINT_CAP = 64
+ORACLE_POINT_CAP = 1024
 
 ENTRY_GRID = tuple(0.25 * k for k in range(9))  # 0, 0.25, ..., 2
 
@@ -51,6 +53,76 @@ class OracleReport:
         }
 
 
+def _images(space: QPSpace, m, args) -> list:
+    """m at every argument tuple, each image required to be a carrier point."""
+    out = []
+    for a in args:
+        image = m(*a)
+        try:
+            space.require(image)
+        except DomainError:
+            call = f"{m.name}({', '.join(map(repr, a))})"
+            raise DomainError(
+                f"{call} = {image!r} is not in the carrier of {space.name}") from None
+        out.append(image)
+    return out
+
+
+def _tabulate(space: QPSpace, coupled: CoupledMap, maps: Sequence[SelfMap], cap: int):
+    """The coupled map as an n x n int array T[x, y] = F(x, y), and each
+    self map as a length-n int vector.  Raises UnsupportedError unless
+    the carrier is finite with at most cap points, and DomainError for an
+    image outside the carrier."""
+    if not space.is_finite:
+        raise UnsupportedError("enumeration needs a finite carrier")
+    n = space.carrier.size
+    if n > cap:
+        raise UnsupportedError(f"carrier size {n} exceeds the cap {cap}")
+    pts = range(n)
+    table = np.array(_images(space, coupled, ((x, y) for x in pts for y in pts)), dtype=int)
+    vectors = [np.array(_images(space, m, ((x,) for x in pts)), dtype=int) for m in maps]
+    return table.reshape(n, n), vectors
+
+
+def _pairs(mask: np.ndarray) -> list:
+    """The (x, y) where mask holds, in row-major order."""
+    return [tuple(p) for p in np.argwhere(mask).tolist()]
+
+
+def _enumerate(space: QPSpace, table: np.ndarray, vectors: list, names: list,
+               tol: float) -> OracleReport:
+    n = len(table)
+    idx = np.arange(n)
+    if tol == 0.0:
+        eq = np.equal
+    else:
+        s = space.pairwise(range(n))
+        close = np.maximum(s, s.T) <= tol
+        eq = lambda a, b: close[a, b]
+
+    # rows index x, columns y: F(x, y) is table, F(y, x) is table.T
+    xs, ys = idx[:, None], idx[None, :]
+    e1 = eq(table, xs) & eq(table.T, ys)
+    e2, e3 = {}, {}
+    for name, g in zip(names, vectors):
+        gx, gy = g[:, None], g[None, :]
+        e2[name] = eq(table, gx) & eq(table.T, gy)
+        e3[name] = e1 & e2[name] & eq(gx, xs) & eq(gy, ys)
+    if len(names) >= 2:
+        d1 = np.logical_and.reduce(list(e2.values()))
+        d2 = np.logical_and.reduce(list(e3.values()))
+    else:
+        d1 = d2 = np.zeros((n, n), dtype=bool)
+    return OracleReport(
+        _pairs(e1),
+        {k: _pairs(v) for k, v in e2.items()},
+        {k: _pairs(v) for k, v in e3.items()},
+        _pairs(d1),
+        _pairs(d2),
+        tol,
+    )
+
+
 def enumerate_points(
     space: QPSpace,
     coupled: CoupledMap,
@@ -63,47 +135,12 @@ def enumerate_points(
     With tol 0 (the default for table maps) equality is exact; a
     positive tol compares under the sup metric.  D1/D2 quantify over all
     supplied maps simultaneously and are empty with fewer than two.
+    The maps are tabulated once; an image outside the carrier raises
+    DomainError.
     """
-    if not space.is_finite:
-        raise UnsupportedError("enumeration needs a finite carrier")
-    n = space.carrier.size
-    if n > cap:
-        raise UnsupportedError(f"carrier size {n} exceeds the cap {cap}")
-
-    if tol == 0.0:
-        eq = lambda a, b: a == b
-    else:
-        eq = lambda a, b: space.sup_dist(a, b) <= tol
-
-    named = list(zip(_unique_names(maps), maps))
-    e1, d1, d2 = [], [], []
-    e2 = {name: [] for name, _ in named}
-    e3 = {name: [] for name, _ in named}
-    for x in range(n):
-        for y in range(n):
-            fxy, fyx = coupled(x, y), coupled(y, x)
-            is_e1 = eq(fxy, x) and eq(fyx, y)
-            if is_e1:
-                e1.append((x, y))
-            all_e2 = bool(named)
-            all_e3 = bool(named)
-            for name, m in named:
-                mx, my = m(x), m(y)
-                is_e2 = eq(fxy, mx) and eq(fyx, my)
-                fixes = eq(mx, x) and eq(my, y)
-                if is_e2:
-                    e2[name].append((x, y))
-                if is_e1 and is_e2 and fixes:
-                    e3[name].append((x, y))
-                else:
-                    all_e3 = False
-                all_e2 = all_e2 and is_e2
-            if len(named) >= 2:
-                if all_e2:
-                    d1.append((x, y))
-                if is_e1 and all_e3:
-                    d2.append((x, y))
-    return OracleReport(e1, e2, e3, d1, d2, tol)
+    maps = list(maps)
+    table, vectors = _tabulate(space, coupled, maps, cap)
+    return _enumerate(space, table, vectors, _unique_names(maps), tol)
 
 
 # -- random instances ----------------------------------------------------
@@ -191,7 +228,8 @@ def random_isotone_coupled(
             else:
                 k = mx[li]
             table[i, j] = chain[k]
-    return CoupledMap(lambda a, b: int(table[int(a), int(b)]), name="F_table")
+    rows = table.tolist()
+    return CoupledMap(lambda a, b: rows[int(a)][int(b)], name="F_table")
 
 
 def random_chain_selfmap(
@@ -205,8 +243,8 @@ def random_chain_selfmap(
     levels = _monotone_levels(ctx)
     n_levels = max(levels) + 1
     mg = np.sort(rng.integers(0, len(chain), size=n_levels))
-    table = np.array([chain[mg[l]] for l in levels], dtype=int)
-    return SelfMap(lambda a: int(table[int(a)]), name=name)
+    values = [chain[mg[l]] for l in levels]
+    return SelfMap(lambda a: values[int(a)], name=name)
 
 
 # -- solver agreement ----------------------------------------------------
@@ -262,22 +300,29 @@ def oracle_vs_solver(
     """
     maps = list(maps)
     scheme = scheme_for(len(maps))
-    oracle = enumerate_points(space, coupled, maps, tol=0.0)
+    names = _unique_names(maps)
+    table, vectors = _tabulate(space, coupled, maps, ORACLE_POINT_CAP)
+    oracle = _enumerate(space, table, vectors, names, 0.0)
     if scheme == "single":
-        target = set(map(tuple, oracle.e1))
+        target = set(oracle.e1)
     elif scheme == "pair":
-        target = set(map(tuple, oracle.e3[_unique_names(maps)[0]]))
+        target = set(oracle.e3[names[0]])
     else:
-        target = set(map(tuple, oracle.d2))
+        target = set(oracle.d2)
 
     run = solver_fn if solver_fn is not None else _default_solver
-    cycle, phase_map = scheme_phases(scheme, maps)
-    pts = space.points()
-    seeds = [
-        (x0, y0) for x0 in pts for y0 in pts
-        if admissible_seed(ctx, coupled, x0, y0, cfg.direction)
-    ]
+    # the admissible seeds, as a gather on the relation matrix:
+    # below[x, y] = x related to F(x, y) in the iteration's direction
+    rel = relation_matrix(ctx, space.points())
+    if cfg.direction == "reverse":
+        rel = rel.T
+    below = rel[np.arange(len(table))[:, None], table]
+    seeds = _pairs(below & below.T)
 
+    # the replay reads the oracle's own tables; scheme_phases pairs each
+    # phase label with the vector of its self map
+    cycle, phase_table = scheme_phases(scheme, [v.tolist() for v in vectors])
+    coupled_rows = table.tolist()
     disagreements = []
     converged = 0
     for seed in seeds:
@@ -297,10 +342,10 @@ def oracle_vs_solver(
         for prev, cur in zip(rows, rows[1:]):
             label = cycle[(cur.n - 1) % len(cycle)]
             if label == "F":
-                ex, ey = coupled(prev.x, prev.y), coupled(prev.y, prev.x)
+                ex, ey = coupled_rows[prev.x][prev.y], coupled_rows[prev.y][prev.x]
             else:
-                m = phase_map[label]
-                ex, ey = m(prev.x), m(prev.y)
+                g = phase_table[label]
+                ex, ey = g[prev.x], g[prev.y]
             if ex != cur.x or ey != cur.y or cur.phase != label:
                 disagreements.append(
                     {

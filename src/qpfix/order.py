@@ -78,7 +78,7 @@ class PreorderCtx:
     def __post_init__(self):
         if self.metric_mode not in ("plain", "symmetrized"):
             raise ValueError(f"unknown metric mode {self.metric_mode!r}")
-        if self.slack < 0:
+        if not self.slack >= 0:  # negated, so that NaN is rejected too
             raise ValueError("slack must be nonnegative")
 
     def order_dist(self, x: Point, y: Point) -> float:
@@ -266,6 +266,8 @@ def check_phi_bound(
 ) -> BoundReport:
     """Confirm the declared bound on a sample and report the range attained."""
     pts = list(sample)
+    if not pts:
+        raise ValueError("sample must be nonempty")
     vals = [phi(p) for p in pts]
     if phi.bound_direction == "above":
         viols = [(p, v) for p, v in zip(pts, vals) if v > phi.declared_bound]

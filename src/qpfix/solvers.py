@@ -13,6 +13,11 @@ Stopping is by stalling: stall_window consecutive index steps whose
 symmetrized displacement stays under tol, confirmed by a residual check
 at the stalled point.  A cycle that moves nothing at all converges
 immediately without appending duplicate rows.
+
+Each image is checked against the carrier once, when its map produces
+it.  An image outside the carrier ends the run with status
+domain_escape, whose violation names the index the image would have
+taken, the map, and the preimage and image.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Optional, Sequence
 
 from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, directed_leq
 from .relations import relate_pair_left, relate_pair_right
-from .spaces import Point, QPSpace
+from .spaces import DomainError, Point, QPSpace
 
 # The phase label of each self map a scheme takes, in the order the maps
 # are passed; kmap (None) takes any number K, labelled G1, ..., GK.  One
@@ -42,11 +47,12 @@ class SolverConfig:
     verify_hypotheses: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
+        # negated comparisons, so that NaN is rejected too
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
-        if self.stall_window < 1:
+        if not self.stall_window >= 1:
             raise ValueError("stall_window must be at least 1")
         if self.direction not in ("forward", "reverse"):
             raise ValueError(f"unknown direction {self.direction!r}")
@@ -90,7 +96,7 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class SolverViolation:
-    condition: str  # "seed" | "C1" | "C2" | "D1" | "D2" | "chain" | "phi_monotone"
+    condition: str  # "seed" | "C1" | "C2" | "D1" | "D2" | "chain" | "phi_monotone" | "domain"
     index: int
     witness: tuple
     map_name: Optional[str] = None
@@ -108,7 +114,7 @@ class SolverViolation:
 
 @dataclass
 class SolverReport:
-    status: str  # "converged" | "max_iter" | "hypothesis_violated"
+    status: str  # "converged" | "max_iter" | "hypothesis_violated" | "domain_escape"
     scheme: str
     candidate: Optional[tuple]
     residual_d: dict
@@ -208,6 +214,7 @@ def _run_scheme(
         cfg = replace(cfg, metric_mode=ctx.metric_mode)
     ectx = ctx if ctx.metric_mode == cfg.metric_mode else replace(ctx, metric_mode=cfg.metric_mode)
     space = ectx.space
+    dist = space.dist_fn
     phi = ectx.phi
     x, y = seed
     space.require(x)
@@ -236,87 +243,106 @@ def _run_scheme(
         _, _, ds = _residuals(space, coupled, named, px, py)
         return max(ds.values()) <= cfg.tol
 
-    if cfg.verify_hypotheses:
-        # the seed hypothesis ties the seed to F, so it binds only when F
-        # comes first in the cycle
-        if cycle[0] == "F":
-            if not admissible_seed(ectx, coupled, x, y, cfg.direction):
-                fail("seed", (x, y), detail="starting pair is not below its image")
-        elif strict_seed:
-            nx, ny = apply_phase(cycle[0], x, y)
-            if not (directed_leq(ectx, cfg.direction, x, nx)
-                    and directed_leq(ectx, cfg.direction, y, ny)):
-                fail("seed", (x, y), map_name=cycle[0],
-                     detail="strict mode: starting pair is not below its first image")
+    def escape(exc, index, witness, map_name=None):
+        nonlocal status, violation
+        status = "domain_escape"
+        violation = SolverViolation("domain", index, witness, map_name, str(exc))
 
-    while status is None:
+    res_d, res_dinv, res_ds = {}, {}, {}
+    try:
         if cfg.verify_hypotheses:
-            for name, m in named:
-                v = relate_pair_left(ectx, coupled, m, x, y) if cfg.direction == "forward" \
-                    else relate_pair_right(ectx, coupled, m, x, y)
-                if v is not None:
-                    fail(v.condition, v.pair, map_name=name,
-                         detail=f"part {v.part}: {v.lhs!r} not below {v.rhs!r}")
+            # the seed hypothesis ties the seed to F, so it binds only when F
+            # comes first in the cycle
+            if cycle[0] == "F":
+                if not admissible_seed(ectx, coupled, x, y, cfg.direction):
+                    fail("seed", (x, y), detail="starting pair is not below its image")
+            elif strict_seed:
+                nx, ny = apply_phase(cycle[0], x, y)
+                if not (directed_leq(ectx, cfg.direction, x, nx)
+                        and directed_leq(ectx, cfg.direction, y, ny)):
+                    fail("seed", (x, y), map_name=cycle[0],
+                         detail="strict mode: starting pair is not below its first image")
+
+        while status is None:
+            if cfg.verify_hypotheses:
+                for name, m in named:
+                    v = relate_pair_left(ectx, coupled, m, x, y) if cfg.direction == "forward" \
+                        else relate_pair_right(ectx, coupled, m, x, y)
+                    if v is not None:
+                        fail(v.condition, v.pair, map_name=name,
+                             detail=f"part {v.part}: {v.lhs!r} not below {v.rhs!r}")
+                        break
+                if status is not None:
                     break
+
+            # probe one full cycle, checking and measuring each image once;
+            # an exactly stationary cycle converges now
+            probe = []
+            px, py = x, y
+            stationary = True
+            for label in cycle:
+                nx, ny = apply_phase(label, px, py)
+                try:
+                    space.require(nx)
+                    space.require(ny)
+                except DomainError as exc:
+                    escape(exc, n + len(probe) + 1, (px, nx, py, ny), label)
+                    break
+                step_x, back_x = float(dist(px, nx)), float(dist(nx, px))
+                step_y, back_y = float(dist(py, ny)), float(dist(ny, py))
+                sup_x, sup_y = max(step_x, back_x), max(step_y, back_y)
+                if sup_x != 0.0 or sup_y != 0.0:
+                    stationary = False
+                probe.append((label, nx, ny, step_x, step_y, sup_x + sup_y))
+                px, py = nx, ny
             if status is not None:
                 break
-
-        # probe one full cycle; an exactly stationary cycle converges now
-        probe = []
-        px, py = x, y
-        stationary = True
-        for label in cycle:
-            nx, ny = apply_phase(label, px, py)
-            if space.sup_dist(px, nx) != 0.0 or space.sup_dist(py, ny) != 0.0:
-                stationary = False
-            probe.append((label, nx, ny))
-            px, py = nx, ny
-        if stationary and residual_pass(x, y):
-            rows[-1].step_x = 0.0
-            rows[-1].step_y = 0.0
-            final_steps_set = True
-            status = "converged"
-            break
-
-        for label, nx, ny in probe:
-            step_x = space.dist(x, nx)
-            step_y = space.dist(y, ny)
-            sstep = space.sup_dist(x, nx) + space.sup_dist(y, ny)
-            rows[-1].step_x = step_x
-            rows[-1].step_y = step_y
-            n += 1
-            rows.append(TraceRow(n, nx, ny, phi(nx), phi(ny), 0.0, 0.0, label))
-            prev_x, prev_y = x, y
-            x, y = nx, ny
-            if cfg.verify_hypotheses and n >= 2:
-                if not (directed_leq(ectx, cfg.direction, prev_x, x)
-                        and directed_leq(ectx, cfg.direction, prev_y, y)):
-                    fail("chain", (prev_x, x, prev_y, y),
-                         detail="trace broke the order chain")
-                    break
-                if not (_phi_ok(phi, cfg.direction, ectx.slack, prev_x, x)
-                        and _phi_ok(phi, cfg.direction, ectx.slack, prev_y, y)):
-                    fail("phi_monotone", (prev_x, x, prev_y, y),
-                         detail="phi moved the wrong way beyond slack")
-                    break
-            stall = stall + 1 if sstep < cfg.tol else 0
-            if stall >= cfg.stall_window:
-                if residual_pass(x, y):
-                    status = "converged"
-                    break
-                stall = 0
-            if n >= cfg.max_iter:
-                status = "max_iter"
+            if stationary and residual_pass(x, y):
+                rows[-1].step_x = 0.0
+                rows[-1].step_y = 0.0
+                final_steps_set = True
+                status = "converged"
                 break
 
-    if not final_steps_set:
-        # fill the final row's forward step with one lookahead evaluation
-        label = cycle[n % len(cycle)]
-        nx, ny = apply_phase(label, x, y)
-        rows[-1].step_x = space.dist(x, nx)
-        rows[-1].step_y = space.dist(y, ny)
+            for label, nx, ny, step_x, step_y, sstep in probe:
+                rows[-1].step_x = step_x
+                rows[-1].step_y = step_y
+                n += 1
+                rows.append(TraceRow(n, nx, ny, phi(nx), phi(ny), 0.0, 0.0, label))
+                prev_x, prev_y = x, y
+                x, y = nx, ny
+                if cfg.verify_hypotheses and n >= 2:
+                    if not (directed_leq(ectx, cfg.direction, prev_x, x)
+                            and directed_leq(ectx, cfg.direction, prev_y, y)):
+                        fail("chain", (prev_x, x, prev_y, y),
+                             detail="trace broke the order chain")
+                        break
+                    if not (_phi_ok(phi, cfg.direction, ectx.slack, prev_x, x)
+                            and _phi_ok(phi, cfg.direction, ectx.slack, prev_y, y)):
+                        fail("phi_monotone", (prev_x, x, prev_y, y),
+                             detail="phi moved the wrong way beyond slack")
+                        break
+                stall = stall + 1 if sstep < cfg.tol else 0
+                if stall >= cfg.stall_window:
+                    if residual_pass(x, y):
+                        status = "converged"
+                        break
+                    stall = 0
+                if n >= cfg.max_iter:
+                    status = "max_iter"
+                    break
 
-    res_d, res_dinv, res_ds = _residuals(space, coupled, named, x, y)
+        if status != "domain_escape":
+            if not final_steps_set:
+                # fill the final row's forward step with one lookahead evaluation
+                label = cycle[n % len(cycle)]
+                nx, ny = apply_phase(label, x, y)
+                rows[-1].step_x = space.dist(x, nx)
+                rows[-1].step_y = space.dist(y, ny)
+            res_d, res_dinv, res_ds = _residuals(space, coupled, named, x, y)
+    except DomainError as exc:  # an image checked outside the probe left the carrier
+        escape(exc, n, (x, y))
+
     return SolverReport(
         status=status,
         scheme=scheme,

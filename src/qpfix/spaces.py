@@ -227,9 +227,10 @@ def finite_space(matrix: Iterable[Iterable[float]], name: str = "finite") -> QPS
     if (m < 0).any():
         raise ValueError("distance matrix entries must be nonnegative")
     m = np.ascontiguousarray(m)
+    rows = m.tolist()  # Python lists index faster than numpy scalars
     return QPSpace(
         FiniteCarrier(m.shape[0]),
-        lambda x, y: float(m[int(x), int(y)]),
+        lambda x, y: rows[int(x)][int(y)],
         name=name,
         matrix=m,
     )

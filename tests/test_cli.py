@@ -68,6 +68,40 @@ def test_solve_non_convergence_exits_one(tmp_path):
     assert report["violation"]["condition"] == "C1"
 
 
+ESCAPE_CONFIG = {  # F(0, 0) = 2 leaves [0, 1]
+    "schema": "1",
+    "space": {"id": "upper_interval", "lo": 0.0, "hi": 1.0},
+    "phi": {"id": "identity", "bound": 1.0},
+    "maps": [{"id": "coupled_affine", "a": 0.25, "b": 0.25, "c": 2}],
+    "scheme": "single",
+}
+
+
+def test_solve_reports_domain_escape(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = dict(ESCAPE_CONFIG, seed_pair=[0.0, 0.0], output_dir=out)
+    assert main(["solve", "--config", _write(tmp_path / "c.json", cfg)]) == 1
+    report = _read_report(out)
+    assert report["status"] == "domain_escape"
+    assert report["candidate"] is None
+    assert report["residual_d"] == report["residual_dinv"] == report["residual_ds"] == {}
+    v = report["violation"]
+    assert (v["condition"], v["index"], v["map"]) == ("domain", 1, "F")
+    assert v["witness"] == [0.0, 2.0, 0.0, 2.0]
+    assert "2.0" in v["detail"]
+    with open(os.path.join(out, "trace.csv"), newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2  # header and the seed row
+
+
+def test_solve_seed_search_reports_domain_escape(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = dict(ESCAPE_CONFIG, seed_pair="search", output_dir=out)
+    assert main(["solve", "--config", _write(tmp_path / "c.json", cfg)]) == 1
+    report = _read_report(out)
+    assert report["status"] == "domain_escape"
+    assert "not in the carrier" in report["detail"]
+
+
 def test_check_space_planted_violation(tmp_path):
     out = str(tmp_path / "out")
     cfg = {
@@ -133,6 +167,17 @@ def test_oracle_subcommand(tmp_path):
     }
     assert main(["oracle", "--config", _write(tmp_path / "c.json", cfg)]) == 0
     assert _read_report(out)["E1"] == [[1, 1]]
+
+
+def test_oracle_rejects_table_image_outside_carrier(tmp_path, capsys):
+    cfg = {
+        "schema": "1",
+        "space": {"kind": "finite", "n": 2, "matrix": [[0, 1], [1, 0]]},
+        "maps": [{"id": "coupled_table", "matrix": [[5, 0], [0, 1]]}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["oracle", "--config", _write(tmp_path / "c.json", cfg)]) == 2
+    assert "coupled_table(0, 0) = 5" in capsys.readouterr().err
 
 
 def test_compare_campaign(tmp_path):
@@ -215,6 +260,12 @@ def test_config_error_paths(tmp_path):
     cfg = dict(order_cfg, metric_mode="weird")
     assert main(["check-order", "--config", _write(tmp_path / "mo.json", cfg)]) == 2
     assert main(["check-relations", "--config", _write(tmp_path / "mr.json", cfg)]) == 2
+    # compare campaign fields that are not counts, or out of range
+    for camp in ({"instances": "x"}, {"min_points": "a"}, {"max_points": [3]},
+                 {"map_counts": "x"}, {"map_counts": 3}, {"map_counts": []},
+                 {"min_points": 5, "max_points": 3}, {"instances": -1}):
+        cfg = {"schema": "1", "campaign": camp, "output_dir": str(tmp_path / "o")}
+        assert main(["compare", "--config", _write(tmp_path / "cc.json", cfg), "--seed", "1"]) == 2
     # missing config file
     assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
     # unknown subcommand

@@ -1,10 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutants import mutant_pair_solver
 from qpfix import catalog
 from qpfix.oracle import (
     ENTRY_GRID,
+    ORACLE_POINT_CAP,
     enumerate_points,
     oracle_vs_solver,
     order_chain,
@@ -14,8 +19,16 @@ from qpfix.oracle import (
     random_phi_table,
     run_agreement_campaign,
 )
-from qpfix.order import CoupledMap, PreorderCtx, SelfMap, check_isotone, induced_leq, seed_search
-from qpfix.solvers import _unique_names, verify_point
+from qpfix.order import (
+    CoupledMap,
+    PreorderCtx,
+    SelfMap,
+    admissible_seed,
+    check_isotone,
+    induced_leq,
+    seed_search,
+)
+from qpfix.solvers import SolverConfig, _unique_names, verify_point
 from qpfix.spaces import UnsupportedError, check_axioms, check_T0, finite_space
 
 
@@ -161,3 +174,91 @@ def test_oracle_report_json_shape():
     assert payload["E1"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert payload["E2"] == {"identity": [[0, 0], [0, 1], [1, 0], [1, 1]]}
     assert payload["D1"] == []  # needs at least two maps
+
+
+# -- the tabulated oracle against plain double loops -----------------------
+
+
+def _instance(seed, n, k, metric_mode="plain"):
+    rng = np.random.default_rng(seed)
+    space = random_finite_space(rng, n)
+    ctx = PreorderCtx(space, random_phi_table(rng, n), metric_mode=metric_mode, slack=0.0)
+    chain = order_chain(ctx)
+    coupled = random_isotone_coupled(rng, ctx, chain)
+    maps = [random_chain_selfmap(rng, ctx, chain, name=f"g{j + 1}") for j in range(k)]
+    return space, ctx, coupled, maps
+
+
+def _enumerate_reference(space, coupled, maps, tol):
+    """Every fixed-point notion by a scan of all pairs, map by map."""
+    eq = (lambda a, b: a == b) if tol == 0.0 else (lambda a, b: space.sup_dist(a, b) <= tol)
+    names = _unique_names(maps)
+    e1, d1, d2 = [], [], []
+    e2 = {name: [] for name in names}
+    e3 = {name: [] for name in names}
+    for x in space.points():
+        for y in space.points():
+            fxy, fyx = coupled(x, y), coupled(y, x)
+            is_e1 = eq(fxy, x) and eq(fyx, y)
+            if is_e1:
+                e1.append((x, y))
+            for name, m in zip(names, maps):
+                is_e2 = eq(fxy, m(x)) and eq(fyx, m(y))
+                if is_e2:
+                    e2[name].append((x, y))
+                    if is_e1 and eq(m(x), x) and eq(m(y), y):
+                        e3[name].append((x, y))
+            if len(maps) >= 2:
+                if all((x, y) in e2[name] for name in names):
+                    d1.append((x, y))
+                if all((x, y) in e3[name] for name in names):
+                    d2.append((x, y))
+    return {"E1": e1, "E2": e2, "E3": e3, "D1": d1, "D2": d2}
+
+
+def _as_lists(report):
+    return {"E1": report.e1, "E2": report.e2, "E3": report.e3, "D1": report.d1, "D2": report.d2}
+
+
+def _seeds_reference(ctx, coupled, direction):
+    pts = ctx.space.points()
+    return [(a, b) for a in pts for b in pts if admissible_seed(ctx, coupled, a, b, direction)]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(0, 3),
+       st.sampled_from([0.0, 0.25]))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_double_loop(seed, n, k, tol):
+    space, _, coupled, maps = _instance(seed, n, k)
+    got = enumerate_points(space, coupled, maps, tol=tol)
+    assert _as_lists(got) == _enumerate_reference(space, coupled, maps, tol)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9),
+       st.sampled_from(["forward", "reverse"]), st.sampled_from(["plain", "symmetrized"]))
+@settings(max_examples=60, deadline=None)
+def test_seed_gather_matches_admissible_seed(seed, n, direction, metric_mode):
+    space, ctx, coupled, _ = _instance(seed, n, 0, metric_mode)
+    ran = []
+
+    def record(ctx, coupled, maps, seed, cfg):  # the seeds, without running them
+        ran.append(seed)
+        return SimpleNamespace(status="max_iter")
+
+    cfg = SolverConfig(direction=direction)
+    report = oracle_vs_solver(space, ctx, coupled, [], cfg, solver_fn=record)
+    want = _seeds_reference(ctx, coupled, direction)
+    assert report.seeds == ran == want
+
+
+def test_oracle_on_256_points_matches_double_loop():
+    assert ORACLE_POINT_CAP >= 256
+    space, ctx, coupled, _ = _instance(5, 256, 0)
+    report = enumerate_points(space, coupled)
+    assert _as_lists(report) == _enumerate_reference(space, coupled, [], 0.0)
+    for direction in ("forward", "reverse"):
+        cfg = SolverConfig(max_iter=200, direction=direction)
+        agreement = oracle_vs_solver(space, ctx, coupled, [], cfg)
+        assert agreement.seeds == _seeds_reference(ctx, coupled, direction)
+        assert agreement.runs == len(agreement.seeds) > 0
+        assert agreement.passed

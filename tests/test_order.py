@@ -135,6 +135,12 @@ def test_phi_bound_violation():
     assert (0.6, 0.6) in report.violations
 
 
+def test_phi_bound_rejects_empty_sample():
+    phi = catalog.get_phi("identity", bound=1.0)
+    with pytest.raises(ValueError, match="sample must be nonempty"):
+        check_phi_bound(phi, [])
+
+
 def test_phi_bound_below_direction():
     phi = PhiFn(lambda x: x, "below", 0.0, name="id_below")
     assert check_phi_bound(phi, [0.0, 0.5, 1.0]).passed
@@ -171,5 +177,7 @@ def test_ctx_validation(unit_space):
         PreorderCtx(unit_space, phi, metric_mode="other")
     with pytest.raises(ValueError):
         PreorderCtx(unit_space, phi, slack=-1e-9)
+    with pytest.raises(ValueError):
+        PreorderCtx(unit_space, phi, slack=float("nan"))
     with pytest.raises(ValueError):
         PhiFn(lambda x: x, "sideways", 0.0)

@@ -1,6 +1,8 @@
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpfix import catalog
 from qpfix.order import CoupledMap, PreorderCtx, SelfMap, induced_leq
@@ -302,9 +304,48 @@ def test_trace_csv_layout(unit_ctx, tmp_path):
     assert float(rows[2][1]) == report.trace.rows[1].x
 
 
+def test_domain_escape_is_reported_not_raised(unit_ctx):
+    climb = CoupledMap(lambda x, y: x + 0.375, name="climb")
+    report = couple_iterate(unit_ctx, climb, (0.0, 0.0))
+    # 0.375, 0.75, then 1.125 leaves [0, 1]: the trace stops before it
+    assert report.status == "domain_escape"
+    assert report.candidate is None
+    assert [r.x for r in report.trace.rows] == [0.0, 0.375, 0.75]
+    v = report.violation
+    assert (v.condition, v.index, v.map_name) == ("domain", 3, "F")
+    assert v.witness == (0.75, 1.125, 0.75, 1.125)
+    assert report.residual_d == report.residual_dinv == report.residual_ds == {}
+    # with verification on, the seed check meets the escape first
+    cfg = SolverConfig(verify_hypotheses=True)
+    report = couple_iterate(unit_ctx, CoupledMap(lambda x, y: 2.0), (0.0, 0.0), cfg)
+    assert report.status == "domain_escape"
+    assert (report.violation.index, report.violation.map_name) == (0, None)
+
+
+@given(st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(["coupled_max", "coupled_min", "coupled_projection"]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_integer_seeds_give_float_steps(x0, y0, coupled_id, paired):
+    space = catalog.get_space("upper_interval", lo=0.0, hi=3.0)
+    ctx = PreorderCtx(space, catalog.get_phi("identity", bound=3.0))
+    coupled = catalog.get_map(coupled_id)
+    if paired:
+        report = pair_iterate(ctx, coupled, catalog.get_map("identity"), (x0, y0))
+    else:
+        report = couple_iterate(ctx, coupled, (x0, y0))
+    for row in report.trace.rows:
+        assert type(row.step_x) is float and type(row.step_y) is float
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(tol=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(max_iter=float("nan"))  # would never stop
+    with pytest.raises(ValueError):
+        SolverConfig(stall_window=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
