@@ -11,7 +11,7 @@ are min-plus closed, coupled maps take values on an order chain).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,6 +41,10 @@ class OracleReport:
     d1: list
     d2: list
     tol: float
+    # the tabulated maps the scan read: T[x, y] = F(x, y), and one vector
+    # per self map
+    table: np.ndarray = field(repr=False, compare=False)
+    vectors: list = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         pair = lambda ps: [list(p) for p in ps]
@@ -89,8 +93,23 @@ def _pairs(mask: np.ndarray) -> list:
     return [tuple(p) for p in np.argwhere(mask).tolist()]
 
 
-def _enumerate(space: QPSpace, table: np.ndarray, vectors: list, names: list,
-               tol: float) -> OracleReport:
+def enumerate_points(
+    space: QPSpace,
+    coupled: CoupledMap,
+    maps: Sequence[SelfMap] = (),
+    tol: float = 0.0,
+    cap: int = ORACLE_POINT_CAP,
+) -> OracleReport:
+    """Scan all pairs of a finite space for every fixed-point notion.
+
+    With tol 0 (the default for table maps) equality is exact; a
+    positive tol compares under the sup metric.  D1/D2 quantify over all
+    supplied maps simultaneously and are empty with fewer than two.
+    The maps are tabulated once, and the report keeps the tables; an
+    image outside the carrier raises DomainError.
+    """
+    maps = list(maps)
+    table, vectors = _tabulate(space, coupled, maps, cap)
     n = len(table)
     idx = np.arange(n)
     if tol == 0.0:
@@ -104,11 +123,11 @@ def _enumerate(space: QPSpace, table: np.ndarray, vectors: list, names: list,
     xs, ys = idx[:, None], idx[None, :]
     e1 = eq(table, xs) & eq(table.T, ys)
     e2, e3 = {}, {}
-    for name, g in zip(names, vectors):
+    for name, g in zip(_unique_names(maps), vectors):
         gx, gy = g[:, None], g[None, :]
         e2[name] = eq(table, gx) & eq(table.T, gy)
         e3[name] = e1 & e2[name] & eq(gx, xs) & eq(gy, ys)
-    if len(names) >= 2:
+    if len(maps) >= 2:
         d1 = np.logical_and.reduce(list(e2.values()))
         d2 = np.logical_and.reduce(list(e3.values()))
     else:
@@ -120,27 +139,9 @@ def _enumerate(space: QPSpace, table: np.ndarray, vectors: list, names: list,
         _pairs(d1),
         _pairs(d2),
         tol,
+        table,
+        vectors,
     )
-
-
-def enumerate_points(
-    space: QPSpace,
-    coupled: CoupledMap,
-    maps: Sequence[SelfMap] = (),
-    tol: float = 0.0,
-    cap: int = ORACLE_POINT_CAP,
-) -> OracleReport:
-    """Scan all pairs of a finite space for every fixed-point notion.
-
-    With tol 0 (the default for table maps) equality is exact; a
-    positive tol compares under the sup metric.  D1/D2 quantify over all
-    supplied maps simultaneously and are empty with fewer than two.
-    The maps are tabulated once; an image outside the carrier raises
-    DomainError.
-    """
-    maps = list(maps)
-    table, vectors = _tabulate(space, coupled, maps, cap)
-    return _enumerate(space, table, vectors, _unique_names(maps), tol)
 
 
 # -- random instances ----------------------------------------------------
@@ -301,8 +302,8 @@ def oracle_vs_solver(
     maps = list(maps)
     scheme = scheme_for(len(maps))
     names = _unique_names(maps)
-    table, vectors = _tabulate(space, coupled, maps, ORACLE_POINT_CAP)
-    oracle = _enumerate(space, table, vectors, names, 0.0)
+    oracle = enumerate_points(space, coupled, maps)
+    table, vectors = oracle.table, oracle.vectors
     if scheme == "single":
         target = set(oracle.e1)
     elif scheme == "pair":

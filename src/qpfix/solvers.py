@@ -341,7 +341,9 @@ def _run_scheme(
                 rows[-1].step_y = space.dist(y, ny)
             res_d, res_dinv, res_ds = _residuals(space, coupled, named, x, y)
     except DomainError as exc:  # an image checked outside the probe left the carrier
-        escape(exc, n, (x, y))
+        # a hypothesis violation found earlier stays the reported failure
+        if status in (None, "max_iter"):
+            escape(exc, n, (x, y))
 
     return SolverReport(
         status=status,

@@ -322,6 +322,19 @@ def test_domain_escape_is_reported_not_raised(unit_ctx):
     assert (report.violation.index, report.violation.map_name) == (0, None)
 
 
+def test_escape_after_a_violation_keeps_the_violation(unit_ctx):
+    # 0 -> 0.5 -> 0.25 breaks the chain at index 2; the look-ahead from
+    # 0.25 then leaves [0, 1], which must not replace the chain violation
+    drop = CoupledMap(lambda x, y: {0.0: 0.5, 0.5: 0.25}.get(x, 2.0), name="drop")
+    cfg = SolverConfig(verify_hypotheses=True)
+    report = couple_iterate(unit_ctx, drop, (0.0, 0.0), cfg)
+    assert report.status == "hypothesis_violated"
+    v = report.violation
+    assert (v.condition, v.index, v.witness) == ("chain", 2, (0.5, 0.25, 0.5, 0.25))
+    assert report.residual_d == report.residual_dinv == report.residual_ds == {}
+    assert [r.x for r in report.trace.rows] == [0.0, 0.5, 0.25]
+
+
 @given(st.integers(0, 3), st.integers(0, 3),
        st.sampled_from(["coupled_max", "coupled_min", "coupled_projection"]), st.booleans())
 @settings(max_examples=60, deadline=None)
