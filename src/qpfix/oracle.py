@@ -282,6 +282,50 @@ class AgreementReport:
         }
 
 
+def _fate(step, cycle: list, target: set, seed: tuple) -> dict:
+    """Where the round-start orbit of seed goes, one round being the
+    scheme's whole cycle of maps: it reaches the common fixed point
+    "point" at round "round", or it enters a cycle of "period" rounds at
+    round "round".  Each state is visited once."""
+    seen = {}
+    state = seed
+    while state not in target and state not in seen:
+        seen[state] = len(seen)
+        x, y = state
+        for label in cycle:
+            x, y = step(label, x, y)
+        state = (x, y)
+    if state in target:
+        return {"status": "converged", "point": list(state), "round": len(seen)}
+    return {"status": "periodic", "round": seen[state], "period": len(seen) - seen[state]}
+
+
+def _matches_fate(report, fate: dict, length: int, cfg: SolverConfig) -> bool:
+    """Whether a run's outcome is one its fate allows, a round being
+    `length` indices.
+
+    A converged run ends on the fate's point, within the round that
+    reaches it.  The solver keys its cycle check on (x, y, stall), and the
+    stall counter at the cycle's first round start may still count steps
+    from before the cycle, so a periodic run may start one round after
+    the fate's cycle does.  max_iter is allowed only when the latest stop
+    the fate allows is not before max_iter.
+    """
+    status, r = report.status, fate["round"]
+    if status == "converged":
+        return (fate["status"] == "converged" and list(report.candidate) == fate["point"]
+                and (r - 1) * length < report.iterations <= r * length)
+    if status == "periodic":
+        start, period = report.cycle
+        return (fate["status"] == "periodic" and period == fate["period"] * length
+                and start % length == 0 and r * length <= start <= (r + 1) * length
+                and report.iterations == start + period)
+    if status == "max_iter":
+        last = r if fate["status"] == "converged" else r + 1 + fate["period"]
+        return last * length >= cfg.max_iter
+    return status == "hypothesis_violated" and cfg.verify_hypotheses
+
+
 def oracle_vs_solver(
     space: QPSpace,
     ctx: PreorderCtx,
@@ -290,14 +334,20 @@ def oracle_vs_solver(
     cfg: SolverConfig = SolverConfig(),
     solver_fn: Optional[SolverFn] = None,
 ) -> AgreementReport:
-    """Run the matching solver from every admissible seed and validate
-    every converged run against the exhaustive enumeration.
+    """Run the matching solver from every admissible seed and check every
+    run against the exhaustive enumeration.
 
-    A disagreement is either a converged candidate outside the oracle's
-    target set, or a trace row that differs from the scheme's defining
-    recurrence replayed independently of the solver (this is what
-    catches interleaving bugs, since any stalled limit of a mutated
-    scheme still lands in the target set).
+    Each seed's fate comes from the oracle's own tables: its round-start
+    orbit either reaches a common fixed point or enters a cycle.  A
+    disagreement is a converged candidate outside the oracle's target set,
+    a run whose status, iteration count, cycle or candidate its fate does
+    not allow (kind "fate"; see _matches_fate), or a trace row of a
+    converged or periodic run that differs from the scheme's defining
+    recurrence replayed independently of the solver (this is what catches
+    interleaving bugs, since any stalled limit of a mutated scheme still
+    lands in the target set).  Like the candidate check, the fates are
+    exact: they assume a T0 carrier and a tol below every nonzero
+    distance.
     """
     maps = list(maps)
     scheme = scheme_for(len(maps))
@@ -320,33 +370,47 @@ def oracle_vs_solver(
     below = rel[np.arange(len(table))[:, None], table]
     seeds = _pairs(below & below.T)
 
-    # the replay reads the oracle's own tables; scheme_phases pairs each
-    # phase label with the vector of its self map
+    # the fates and the replay read the oracle's own tables; scheme_phases
+    # pairs each phase label with the vector of its self map
     cycle, phase_table = scheme_phases(scheme, [v.tolist() for v in vectors])
     coupled_rows = table.tolist()
+
+    def step(label, x, y):
+        if label == "F":
+            return coupled_rows[x][y], coupled_rows[y][x]
+        g = phase_table[label]
+        return g[x], g[y]
+
     disagreements = []
     converged = 0
     for seed in seeds:
         report = run(ctx, coupled, maps, seed, cfg)
-        if report.status != "converged":
-            continue
-        converged += 1
-        if tuple(report.candidate) not in target:
+        fate = _fate(step, cycle, target, seed)
+        if report.status == "converged":
+            converged += 1
+            if tuple(report.candidate) not in target:
+                disagreements.append(
+                    {
+                        "kind": "candidate",
+                        "seed": list(seed),
+                        "candidate": list(report.candidate),
+                    }
+                )
+        if not _matches_fate(report, fate, len(cycle), cfg):
             disagreements.append(
                 {
-                    "kind": "candidate",
+                    "kind": "fate",
                     "seed": list(seed),
-                    "candidate": list(report.candidate),
+                    "fate": fate,
+                    "status": report.status,
                 }
             )
+        if report.status not in ("converged", "periodic"):
+            continue
         rows = report.trace.rows
         for prev, cur in zip(rows, rows[1:]):
             label = cycle[(cur.n - 1) % len(cycle)]
-            if label == "F":
-                ex, ey = coupled_rows[prev.x][prev.y], coupled_rows[prev.y][prev.x]
-            else:
-                g = phase_table[label]
-                ex, ey = g[prev.x], g[prev.y]
+            ex, ey = step(label, prev.x, prev.y)
             if ex != cur.x or ey != cur.y or cur.phase != label:
                 disagreements.append(
                     {

@@ -14,6 +14,18 @@ symmetrized displacement stays under tol, confirmed by a residual check
 at the stalled point.  A cycle that moves nothing at all converges
 immediately without appending duplicate rows.
 
+A run ends with one of these statuses:
+
+  converged            the stall (or a stationary cycle) was confirmed
+  periodic             finite carriers only: a round started from a state
+                       (x, y, stall counter) seen at an earlier round
+                       start, so the run repeats forever and can never
+                       converge; the report names the cycle's start
+                       index and period
+  max_iter             max_iter indices ran without either of the above
+  hypothesis_violated  verify_hypotheses found a broken hypothesis
+  domain_escape        a map left the carrier
+
 Each image is checked against the carrier once, when its map produces
 it.  An image outside the carrier ends the run with status
 domain_escape, whose violation names the index the image would have
@@ -77,12 +89,6 @@ class IterationTrace:
     rows: list
     scheme: str
 
-    def x_points(self) -> list:
-        return [r.x for r in self.rows]
-
-    def y_points(self) -> list:
-        return [r.y for r in self.rows]
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -114,7 +120,8 @@ class SolverViolation:
 
 @dataclass
 class SolverReport:
-    status: str  # "converged" | "max_iter" | "hypothesis_violated" | "domain_escape"
+    # "converged" | "periodic" | "max_iter" | "hypothesis_violated" | "domain_escape"
+    status: str
     scheme: str
     candidate: Optional[tuple]
     residual_d: dict
@@ -125,9 +132,10 @@ class SolverReport:
     config: SolverConfig
     violation: Optional[SolverViolation] = None
     experimental: bool = False
+    cycle: Optional[tuple] = None  # (start index, period) of a periodic run
 
     def as_dict(self, trace_ref: Optional[str] = None) -> dict:
-        return {
+        out = {
             "status": self.status,
             "scheme": self.scheme,
             "experimental": self.experimental,
@@ -140,6 +148,9 @@ class SolverReport:
             "violation": None if self.violation is None else self.violation.as_dict(),
             "config": asdict(self.config),
         }
+        if self.cycle is not None:
+            out["cycle"] = {"start": self.cycle[0], "period": self.cycle[1]}
+        return out
 
 
 def _unique_names(maps: Sequence[SelfMap]) -> list[str]:
@@ -240,15 +251,23 @@ def _run_scheme(
         violation = SolverViolation(cond, n, witness, map_name, detail)
 
     def residual_pass(px, py):
-        _, _, ds = _residuals(space, coupled, named, px, py)
-        return max(ds.values()) <= cfg.tol
+        nonlocal residuals
+        residuals = _residuals(space, coupled, named, px, py)
+        return max(residuals[2].values()) <= cfg.tol
 
     def escape(exc, index, witness, map_name=None):
         nonlocal status, violation
         status = "domain_escape"
         violation = SolverViolation("domain", index, witness, map_name, str(exc))
 
-    res_d, res_dinv, res_ds = {}, {}, {}
+    # On a finite carrier the run is a deterministic map on the round-start
+    # state (x, y, stall), so a repeated state proves that it cycles
+    # forever.  Round 0 is left out when nothing has checked the link
+    # from the seed to its first image, since a later pass would check it.
+    seen = {} if space.is_finite else None
+    first_link_checked = not cfg.verify_hypotheses or cycle[0] == "F" or strict_seed
+    cycle_at = None
+    residuals = ({}, {}, {})
     try:
         if cfg.verify_hypotheses:
             # the seed hypothesis ties the seed to F, so it binds only when F
@@ -264,6 +283,12 @@ def _run_scheme(
                          detail="strict mode: starting pair is not below its first image")
 
         while status is None:
+            if seen is not None and (n or first_link_checked):
+                start = seen.setdefault((x, y, stall), n)
+                if start != n:
+                    status = "periodic"
+                    cycle_at = (start, n - start)
+                    break
             if cfg.verify_hypotheses:
                 for name, m in named:
                     v = relate_pair_left(ectx, coupled, m, x, y) if cfg.direction == "forward" \
@@ -339,12 +364,15 @@ def _run_scheme(
                 nx, ny = apply_phase(label, x, y)
                 rows[-1].step_x = space.dist(x, nx)
                 rows[-1].step_y = space.dist(y, ny)
-            res_d, res_dinv, res_ds = _residuals(space, coupled, named, x, y)
+            if status != "converged":  # a converged run has just computed them here
+                residuals = _residuals(space, coupled, named, x, y)
     except DomainError as exc:  # an image checked outside the probe left the carrier
-        # a hypothesis violation found earlier stays the reported failure
+        residuals = ({}, {}, {})
+        # a hypothesis violation or a cycle found earlier stays the reported outcome
         if status in (None, "max_iter"):
             escape(exc, n, (x, y))
 
+    res_d, res_dinv, res_ds = ({}, {}, {}) if status == "domain_escape" else residuals
     return SolverReport(
         status=status,
         scheme=scheme,
@@ -356,7 +384,8 @@ def _run_scheme(
         trace=IterationTrace(rows, scheme),
         config=cfg,
         violation=violation,
-        experimental=scheme == "kmap",
+        experimental=scheme == "kmap" and len(selfmaps) >= 3,  # the paper covers K <= 2
+        cycle=cycle_at,
     )
 
 

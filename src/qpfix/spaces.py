@@ -8,7 +8,6 @@ sets (points are integer indices into a dense distance matrix).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -382,8 +381,3 @@ def space_from_json(obj: dict) -> QPSpace:
             raise ValueError(f"unknown interval distance {obj.get('dist')!r}")
         return upper_interval_space(obj["lo"], obj["hi"])
     raise ValueError(f"unknown space kind {kind!r}")
-
-
-def space_from_file(path: str) -> QPSpace:
-    with open(path) as fh:
-        return space_from_json(json.load(fh))

@@ -1,7 +1,15 @@
 """Deliberately broken solver builds used to prove the agreement
 harness has teeth."""
 
-from qpfix.solvers import IterationTrace, SolverReport, TraceRow, _residuals, _unique_names
+from qpfix.solvers import (
+    IterationTrace,
+    SolverReport,
+    TraceRow,
+    _residuals,
+    _unique_names,
+    scheme_for,
+    scheme_phases,
+)
 
 
 def mutant_pair_solver(ctx, coupled, maps, seed, cfg):
@@ -56,4 +64,27 @@ def mutant_pair_solver(ctx, coupled, maps, seed, cfg):
         candidate=(x, y) if status == "converged" else None,
         residual_d=rd, residual_dinv=rdi, residual_ds=rds, iterations=n,
         trace=IterationTrace(rows, "pair"), config=cfg,
+    )
+
+
+def mutant_never_converges(ctx, coupled, maps, seed, cfg):
+    """The real scheme with its stopping tests taken out: every seed runs
+    max_iter indices and reports max_iter, whether or not it converged."""
+    scheme = scheme_for(len(maps))
+    cycle, phase_maps = scheme_phases(scheme, maps)
+    phi = ctx.phi
+    x, y = seed
+    rows = [TraceRow(0, x, y, phi(x), phi(y), 0.0, 0.0, "seed")]
+    for n in range(1, cfg.max_iter + 1):
+        label = cycle[(n - 1) % len(cycle)]
+        if label == "F":
+            x, y = coupled(x, y), coupled(y, x)
+        else:
+            x, y = phase_maps[label](x), phase_maps[label](y)
+        rows.append(TraceRow(n, x, y, phi(x), phi(y), 0.0, 0.0, label))
+    rd, rdi, rds = _residuals(ctx.space, coupled, list(zip(_unique_names(maps), maps)), x, y)
+    return SolverReport(
+        status="max_iter", scheme=scheme, candidate=None,
+        residual_d=rd, residual_dinv=rdi, residual_ds=rds, iterations=cfg.max_iter,
+        trace=IterationTrace(rows, scheme), config=cfg,
     )

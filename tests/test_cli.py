@@ -68,6 +68,28 @@ def test_solve_non_convergence_exits_one(tmp_path):
     assert report["violation"]["condition"] == "C1"
 
 
+def test_solve_periodic_exits_one(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = {  # F(x, y) = 1 - x on two points: (0, 0), (1, 1), (0, 0), ...
+        "schema": "1",
+        "space": {"kind": "finite", "n": 2, "matrix": [[0, 1], [1, 0]]},
+        "phi": {"id": "table", "values": [0, 0]},
+        "maps": [{"id": "coupled_table", "matrix": [[1, 1], [0, 0]]}],
+        "scheme": "single",
+        "seed_pair": [0, 0],
+        "solver": {"max_iter": 50},
+        "output_dir": out,
+    }
+    assert main(["solve", "--config", _write(tmp_path / "c.json", cfg)]) == 1
+    report = _read_report(out)
+    assert report["status"] == "periodic"
+    assert report["candidate"] is None
+    assert report["cycle"] == {"start": 0, "period": 2}
+    assert report["iterations"] == 2
+    with open(os.path.join(out, "trace.csv"), newline="") as fh:
+        assert [r[1] for r in csv.reader(fh)] == ["x", "0", "1", "0"]
+
+
 ESCAPE_CONFIG = {  # F(0, 0) = 2 leaves [0, 1]
     "schema": "1",
     "space": {"id": "upper_interval", "lo": 0.0, "hi": 1.0},

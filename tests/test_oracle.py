@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutants import mutant_pair_solver
+from mutants import mutant_never_converges, mutant_pair_solver
 from qpfix import catalog
 from qpfix.oracle import (
     ENTRY_GRID,
@@ -28,7 +28,7 @@ from qpfix.order import (
     induced_leq,
     seed_search,
 )
-from qpfix.solvers import SolverConfig, _unique_names, verify_point
+from qpfix.solvers import SolverConfig, _unique_names, couple_iterate, verify_point
 from qpfix.spaces import UnsupportedError, check_axioms, check_T0, finite_space
 
 
@@ -262,3 +262,78 @@ def test_oracle_on_256_points_matches_double_loop():
         assert agreement.seeds == _seeds_reference(ctx, coupled, direction)
         assert agreement.runs == len(agreement.seeds) > 0
         assert agreement.passed
+
+
+# -- fates: every run's outcome against the oracle's orbit -----------------------
+
+
+def test_never_converging_solver_is_caught():
+    space, ctx, coupled, maps = _instance(3, 6, 1)
+    cfg = SolverConfig(max_iter=200)
+    assert oracle_vs_solver(space, ctx, coupled, maps, cfg).converged > 0
+    report = oracle_vs_solver(space, ctx, coupled, maps, cfg, solver_fn=mutant_never_converges)
+    assert not report.passed
+    assert report.converged == 0
+    assert {d["kind"] for d in report.disagreements} == {"fate"}
+    first = report.disagreements[0]
+    assert first["status"] == "max_iter"
+    assert first["fate"]["status"] == "converged"
+    camp = run_agreement_campaign(seed=42, instances=30, solver_fn=mutant_never_converges)
+    assert not camp.passed
+    assert {d["kind"] for d in camp.disagreements} == {"fate"}
+
+
+def test_periodic_runs_match_their_fates():
+    # slack 1 relates every pair, so every seed is admissible, and the flip
+    # cycles through (0, 0), (1, 1) or (0, 1), (1, 0) forever
+    space = finite_space([[0, 1], [1, 0]])
+    ctx = PreorderCtx(space, catalog.get_phi("table", values=[0, 0]), slack=1.0)
+    flip = CoupledMap(lambda x, y: 1 - x, name="flip")
+    honest = oracle_vs_solver(space, ctx, flip)
+    assert honest.passed and honest.runs == 4 and honest.converged == 0
+
+    def doubled(ctx, coupled, maps, seed, cfg):  # claims twice the true period
+        report = couple_iterate(ctx, coupled, seed, cfg)
+        start, period = report.cycle
+        report.cycle, report.iterations = (start, 2 * period), start + 2 * period
+        return report
+
+    report = oracle_vs_solver(space, ctx, flip, solver_fn=doubled)
+    assert [d["kind"] for d in report.disagreements] == ["fate"] * 4
+    assert report.disagreements[0]["fate"] == {"status": "periodic", "round": 0, "period": 2}
+    assert report.disagreements[0]["status"] == "periodic"
+
+    def scrambled(ctx, coupled, maps, seed, cfg):  # the true cycle, a wrong trace row
+        report = couple_iterate(ctx, coupled, seed, cfg)
+        report.trace.rows[1].x = 1 - report.trace.rows[1].x
+        return report
+
+    report = oracle_vs_solver(space, ctx, flip, solver_fn=scrambled)
+    assert [(d["kind"], d["index"]) for d in report.disagreements] == [("trace", 1)] * 4
+
+
+# -- the generator's spaces --------------------------------------------------------
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_random_space_conjugate_swaps_and_returns(seed, n, t0):
+    space = random_finite_space(np.random.default_rng(seed), n, t0=t0)
+    conj = space.conjugate()
+    twice = conj.conjugate()
+    pts = space.points()
+    for a in pts:
+        for b in pts:
+            assert conj.dist(a, b) == space.dist(b, a)
+            assert twice.dist(a, b) == space.dist(a, b)
+    assert np.array_equal(conj.pairwise(pts), space.pairwise(pts).T)
+    assert np.array_equal(twice.pairwise(pts), space.pairwise(pts))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_random_space_is_triangle_closed(seed, n, t0):
+    m = random_finite_space(np.random.default_rng(seed), n, t0=t0).matrix
+    assert np.all(np.diag(m) == 0.0)
+    # d(i, k) <= d(i, j) + d(j, k) exactly, for every i, j, k
+    assert np.all(m[:, None, :] <= m[:, :, None] + m[None, :, :])

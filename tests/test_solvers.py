@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from qpfix.solvers import (
     triple_iterate,
     verify_point,
 )
+from qpfix.spaces import finite_space
 
 F_MAX = catalog.get_map("coupled_max")
 F_AFFINE = catalog.get_map("coupled_affine")  # (x + y + 2) / 4
@@ -437,3 +439,94 @@ def test_run_scheme_matches_public_functions(unit_ctx):
     assert pairs[2][0].status == "hypothesis_violated"
     with pytest.raises(ValueError):
         run_scheme("pair", unit_ctx, F_MAX, [], seed, cfg)
+
+
+# -- finite carriers: a repeated round-start state ends the run ------------------
+
+FLIP = CoupledMap(lambda x, y: 1 - x, name="flip")
+IDENT = SelfMap(lambda x: x, name="ident")
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("scheme, maps, start, period", [
+    ("single", [], 0, 2),
+    # the identities' zero steps leave round 0 with another stall count
+    # than the rounds after it, so the cycle starts one round late
+    ("pair", [IDENT], 2, 4),
+    ("triple", [IDENT, IDENT], 3, 6),
+    # three zero steps in a row fill the stall window, the residual check
+    # fails and the counter resets inside every round from round 1 on
+    ("kmap", [IDENT] * 3, 4, 8),
+])
+def test_finite_flip_ends_periodic(scheme, maps, start, period, verify):
+    # slack 1 relates every pair, so every hypothesis check passes
+    ctx = PreorderCtx(finite_space([[0, 1], [1, 0]]),
+                      catalog.get_phi("table", values=[0, 0]), slack=1.0)
+    cfg = SolverConfig(verify_hypotheses=verify)
+    report = run_scheme(scheme, ctx, FLIP, maps, (0, 0), cfg)
+    assert report.status == "periodic"
+    assert report.candidate is None
+    assert report.cycle == (start, period)
+    assert report.iterations == start + period
+    assert report.as_dict()["cycle"] == {"start": start, "period": period}
+    rows = report.trace.rows
+    assert len(rows) == start + period + 1
+    assert (rows[start].x, rows[start].y) == (rows[-1].x, rows[-1].y)
+    assert report.residual_ds["flip"] == 1.0  # at the final pair, as for max_iter
+    # a repeat at or after max_iter is still reported as max_iter
+    for max_iter in (start + period - 1, start + period):
+        late = run_scheme(scheme, ctx, FLIP, maps, (0, 0), replace(cfg, max_iter=max_iter))
+        assert late.status == "max_iter"
+        assert late.iterations == max_iter
+        assert late.cycle is None
+        assert "cycle" not in late.as_dict()
+
+
+def test_periodic_runs_need_a_repeated_stall_count_too():
+    # with tol above every step, a flip repeats (x, y) at index 2 with two
+    # small steps counted, and the third fills the window: it converges
+    space = finite_space([[0, 0.25], [0.25, 0]])
+    ctx = PreorderCtx(space, catalog.get_phi("table", values=[0, 0]))
+    report = couple_iterate(ctx, FLIP, (0, 0), SolverConfig(tol=0.6))
+    assert report.status == "converged"
+    assert (report.iterations, report.candidate) == (3, (1, 1))
+
+
+def test_stall_reset_inside_the_cycle_does_not_stop_the_run():
+    # every round starts at (0, 0) and every step is under tol; the window
+    # fills at index 3, where F(2, 2) = 1 fails the residual check and the
+    # counter resets, and fills again at index 6, where the check passes
+    space = finite_space([[0, 1.5, 0.25], [1, 0, 1.25], [0.25, 1.75, 0]])
+    ctx = PreorderCtx(space, catalog.get_phi("table", values=[0, 0, 0]))
+    F = CoupledMap(lambda x, y: [[2, 0, 1], [1, 2, 1], [0, 0, 1]][x][y], name="F")
+    g = SelfMap(lambda x: [2, 2, 0][x], name="g")
+    report = pair_iterate(ctx, F, g, (0, 0), SolverConfig(tol=1.1))
+    assert [(r.x, r.y) for r in report.trace.rows] == [(0, 0), (2, 2)] * 3 + [(0, 0)]
+    assert report.status == "converged"
+    assert (report.iterations, report.candidate) == (6, (0, 0))
+
+
+def test_verified_cycle_still_checks_the_seed_link():
+    # only 1 is below 0.  H lifts the seed 0 to 1 against the order, and the
+    # triple scheme checks no link from the seed, so round 0's state cannot
+    # prove the cycle: a later pass checks that link and breaks the chain
+    ctx = PreorderCtx(finite_space([[0, 1], [1, 0]]), catalog.get_phi("table", values=[1, 0]))
+    F = CoupledMap(lambda x, y: 1, name="one")
+    g = SelfMap(lambda x: 1 - x, name="swap")
+    h = SelfMap(lambda x: 1, name="lift")
+    plain = triple_iterate(ctx, F, g, h, (0, 0))
+    assert (plain.status, plain.cycle) == ("periodic", (0, 3))
+    cfg = SolverConfig(verify_hypotheses=True)
+    verified = triple_iterate(ctx, F, g, h, (0, 0), cfg)
+    assert verified.status == "hypothesis_violated"
+    v = verified.violation
+    assert (v.condition, v.index, v.witness) == ("chain", 4, (0, 1, 0, 1))
+    strict = triple_iterate(ctx, F, g, h, (0, 0), cfg, strict_seed=True)
+    assert (strict.status, strict.violation.condition) == ("hypothesis_violated", "seed")
+
+
+def test_kmap_is_experimental_only_beyond_two_maps(unit_ctx):
+    for k, experimental in ((1, False), (2, False), (3, True)):
+        report = kmap_round_robin(unit_ctx, F_MAX, [PULL] * k, (0.0, 0.0))
+        assert report.experimental is experimental
+        assert report.as_dict()["experimental"] is experimental
