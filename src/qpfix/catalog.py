@@ -39,14 +39,6 @@ SPACE_LABELS = {
     },
 }
 
-PHI_LABELS = {
-    "identity": {"bound_direction": "above"},
-    "arctan": {"bound_direction": "above"},
-    "neg_exp": {"bound_direction": "above"},
-    "table": {"bound_direction": "above"},
-}
-
-
 def get_space(space_id: str, **params) -> QPSpace:
     built = _space(space_id, params)
     _reject_extra(space_id, params)

@@ -30,7 +30,14 @@ from .order import (
 )
 from .relations import check_weakly_left_related, check_weakly_right_related
 from .solvers import SolverConfig, check_scheme, run_scheme
-from .spaces import DomainError, check_axioms, check_T0, space_from_json
+from .spaces import (
+    DomainError,
+    UnsupportedError,
+    check_axioms,
+    check_T0,
+    resolve_sample,
+    space_from_json,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -92,6 +99,16 @@ def _number(cfg: dict, key: str, default: float) -> float:
     if not math.isfinite(value):  # JSON admits NaN and Infinity
         raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
     return value
+
+
+def _sample_points(cfg: dict, space) -> list:
+    """The points of the config's sample spec ("default", "exhaustive" or
+    an explicit list of carrier points)."""
+    sample = cfg.get("sample", "default")
+    try:
+        return resolve_sample(space, sample)
+    except (TypeError, ValueError, UnsupportedError) as exc:
+        raise ConfigError(f"bad sample {sample!r}: {exc}")
 
 
 def _build_ctx(cfg: dict, metric_mode: Optional[str] = None) -> PreorderCtx:
@@ -172,12 +189,12 @@ def _cmd_check_space(args) -> int:
         required={"space", "output_dir"},
     )
     space = _build_space(cfg["space"])
-    sample = cfg.get("sample", "default")
     slack = _number(cfg, "slack", 1e-12)
-    if sample not in ("default", "exhaustive"):
+    if cfg.get("sample", "default") not in ("default", "exhaustive"):
         raise ConfigError('sample must be "default" or "exhaustive"')
-    axioms = check_axioms(space, sample, slack=slack)
-    t0 = check_T0(space, sample, slack=slack)
+    pts = _sample_points(cfg, space)
+    axioms = check_axioms(space, pts, slack=slack)
+    t0 = check_T0(space, pts, slack=slack)
     ok = axioms.passed and (t0.passed or not cfg.get("require_t0", False))
     _write_json(
         {"axioms": axioms.as_dict(), "t0": t0.as_dict(), "passed": ok},
@@ -194,8 +211,7 @@ def _cmd_check_order(args) -> int:
     )
     ctx = _build_ctx(cfg)
     space = ctx.space
-    sample = cfg.get("sample", "default")
-    laws = check_preorder_laws(ctx, sample)
+    laws = check_preorder_laws(ctx, _sample_points(cfg, space))
     bound = check_phi_bound(ctx.phi, space.grid())
     payload = {"laws": laws.as_dict(), "phi_bound": bound.as_dict()}
     ok = laws.passed and bound.passed
@@ -219,10 +235,10 @@ def _cmd_check_relations(args) -> int:
     maps = _build_maps(cfg["maps"])
     if len(maps) != 2:
         raise ConfigError("check-relations needs exactly [coupled map, self map]")
-    check = {"left": check_weakly_left_related, "right": check_weakly_right_related}.get(
-        cfg.get("relation", "left"))
-    if check is None:
+    relation = cfg.get("relation", "left")
+    if relation not in ("left", "right"):
         raise ConfigError('relation must be "left" or "right"')
+    check = check_weakly_left_related if relation == "left" else check_weakly_right_related
     report = check(ctx, maps[0], maps[1], "exhaustive" if ctx.space.is_finite else "grid")
     _write_json(report.as_dict(), cfg["output_dir"])
     return 0 if report.passed else 1
@@ -319,14 +335,17 @@ def _cmd_compare(args) -> int:
                           f"1 <= min_points <= max_points <= {ORACLE_POINT_CAP}")
     if not map_counts or min(map_counts) < 0:
         raise ConfigError("map_counts must be a nonempty list of counts >= 0")
-    report = run_agreement_campaign(
-        seed=args.seed,
-        instances=instances,
-        min_points=min_points,
-        max_points=max_points,
-        map_counts=map_counts,
-        cfg=solver_cfg,
-    )
+    try:
+        report = run_agreement_campaign(
+            seed=args.seed,
+            instances=instances,
+            min_points=min_points,
+            max_points=max_points,
+            map_counts=map_counts,
+            cfg=solver_cfg,
+        )
+    except ValueError as exc:  # a solver tol the exact oracle cannot judge
+        raise ConfigError(f"bad solver config: {exc}")
     payload = report.as_dict()
     payload["seed"] = args.seed
     _write_json(payload, cfg["output_dir"])

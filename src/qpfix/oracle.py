@@ -347,12 +347,20 @@ def oracle_vs_solver(
     interleaving bugs, since any stalled limit of a mutated scheme still
     lands in the target set).  Like the candidate check, the fates are
     exact: they assume a T0 carrier and a tol below every nonzero
-    distance.
+    distance.  A tol at or above the smallest nonzero sup distance raises
+    ValueError, since a correct solver may then stall on a point that is
+    no fixed point.
     """
     maps = list(maps)
     scheme = scheme_for(len(maps))
     names = _unique_names(maps)
     oracle = enumerate_points(space, coupled, maps)
+    sup = np.maximum(space.matrix, space.matrix.T)
+    if (sup > 0).any() and cfg.tol >= sup[sup > 0].min():
+        raise ValueError(
+            f"tol {cfg.tol!r} is not below the smallest nonzero distance "
+            f"{float(sup[sup > 0].min())!r}, so the exact oracle cannot judge the runs"
+        )
     table, vectors = oracle.table, oracle.vectors
     if scheme == "single":
         target = set(oracle.e1)

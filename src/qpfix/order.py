@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .spaces import Point, QPSpace, resolve_sample
+from .spaces import Point, QPSpace, UnsupportedError, resolve_sample
 
 DEFAULT_ORDER_SLACK = 1e-12
 ISOTONE_GRID_POINTS = 11
@@ -182,6 +182,8 @@ def check_isotone(
     if isinstance(sample, str):
         if sample not in ("grid", "exhaustive"):
             raise ValueError(f"unknown isotone sample spec {sample!r}")
+        if sample == "exhaustive" and not ctx.space.is_finite:
+            raise UnsupportedError("exhaustive sampling needs a finite carrier")
         tuples = isotone_sample(ctx)
     else:
         tuples = sample

@@ -11,6 +11,7 @@ pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,26 +27,24 @@ class SequenceWindow:
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("sequence window must be nonempty")
-        if self.space.is_finite:
-            idx = np.asarray(self.points)
-            if idx.dtype.kind != "i" or (idx < 0).any() or (
-                idx >= self.space.carrier.size
-            ).any():
-                for p in self.points:
-                    self.space.require(p)
-        else:
+        # finite windows of in-range integer indices skip the per-point check
+        idx = np.asarray(self.points) if self.space.is_finite else None
+        if idx is None or idx.dtype.kind != "i" or (idx < 0).any() or (
+            idx >= self.space.carrier.size
+        ).any():
             for p in self.points:
                 self.space.require(p)
-        object.__setattr__(self, "_cache", {})
 
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def _dmat(self) -> np.ndarray:
+        return self.space.pairwise(list(self.points))
+
     def distance_matrix(self) -> np.ndarray:
         """Pairwise d(x_k, x_n) over the window, memoized."""
-        if "dmat" not in self._cache:
-            self._cache["dmat"] = self.space.pairwise(list(self.points))
-        return self._cache["dmat"]
+        return self._dmat
 
     def candidate_distances(self, candidates) -> tuple[np.ndarray, np.ndarray]:
         """(d(c, x_n), d(x_n, c)) matrices for a candidate list."""
@@ -53,6 +52,22 @@ class SequenceWindow:
         to_seq = self.space.cross(candidates, pts)
         from_seq = self.space.cross(pts, candidates).T
         return to_seq, from_seq
+
+    @cached_property
+    def _default_candidate_distances(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.candidate_distances(default_candidates(self))
+
+    @cached_property
+    def _k_profile(self) -> dict:
+        """Per K notion, worst[k]: the largest distance of row k from n = k
+        on.  A start n0 works iff worst[k] < epsilon for every k >= n0, so
+        this is all the epsilon-free work of the K flags."""
+        dmat = self._dmat
+        idx = np.arange(len(self))
+        upper = idx[None, :] >= idx[:, None]
+        left = np.where(upper, dmat, -np.inf).max(axis=1)
+        right = np.where(upper, dmat.T, -np.inf).max(axis=1)
+        return {"left_K": left, "right_K": right, "d_s": np.maximum(left, right)}
 
 
 @dataclass(frozen=True)
@@ -88,39 +103,38 @@ class CauchyVerdict:
         return out
 
 
-def _k_pattern(dmat: np.ndarray, epsilon: float, cap: int, upper_mask: np.ndarray):
-    """Scan for the smallest n0 <= cap with dmat[k, n] < epsilon for all
-    n0 <= k <= n.  Returns (holds, minimal n0 or None, witness or None)."""
-    upper = np.where(upper_mask, dmat, -np.inf)
-    worst_from = upper.max(axis=1)  # worst pair starting at k
-    suffix = np.maximum.accumulate(worst_from[::-1])[::-1]
-    ok = suffix < epsilon
-    if ok[: cap + 1].any():
-        n0 = int(np.argmax(ok[: cap + 1]))
-        return True, n0, None
-    # every n0 <= cap fails; any bad pair with k >= cap refutes them all
-    tail = upper[cap:, :] >= epsilon
-    k_off, nn = np.unravel_index(int(np.argmax(tail)), tail.shape)
-    return False, None, (int(cap + k_off), int(nn))
+def _tail_starts(bad: np.ndarray) -> np.ndarray:
+    """Per row of a boolean array, one past its last True (0 if none):
+    the smallest start from which the row stays good."""
+    n = bad.shape[-1]
+    return np.where(bad.any(axis=-1), n - np.argmax(bad[..., ::-1], axis=-1), 0)
 
 
-def _d_pattern(cand_dists: np.ndarray, epsilon: float, cap: int):
-    """Scan for a candidate row whose distances stay under epsilon from
-    some n0 <= cap on.  cand_dists has shape (candidates, N)."""
-    n = cand_dists.shape[1]
+def _k_flag(seq: SequenceWindow, notion: str, epsilon: float, cap: int):
+    """(flag, minimal start or None).  A failing flag's witness is the first
+    row-major violation (k, n) with k >= cap, which refutes every start."""
+    bad = seq._k_profile[notion] >= epsilon
+    n0 = int(_tail_starts(bad))
+    if n0 <= cap:
+        return CauchyFlag(True), n0
+    k = cap + int(np.argmax(bad[cap:]))
+    # row k of the notion's matrix from n = k on, read only for the witness
+    rows = {"left_K": seq._dmat[k, k:], "right_K": seq._dmat[k:, k]}
+    rows["d_s"] = np.maximum(rows["left_K"], rows["right_K"])
+    n = k + int(np.argmax(rows[notion] >= epsilon))
+    return CauchyFlag(False, (k, n)), None
+
+
+def _d_flag(cand_dists: np.ndarray, epsilon: float, cap: int) -> CauchyFlag:
+    """Does some candidate row (shape (candidates, N)) stay under epsilon
+    from a start <= cap on?  A failing flag's witness is the first best
+    candidate with its first violation at or past the cap."""
     bad = cand_dists >= epsilon
-    # required start per candidate: one past its last violation
-    last_bad = np.where(
-        bad.any(axis=1), n - 1 - np.argmax(bad[:, ::-1], axis=1), -1
-    )
-    required = last_bad + 1
-    best = int(np.argmin(required))
-    if required[best] <= cap:
-        return True, int(required[best]), None
-    # witness: the best candidate still violates at some n >= cap
-    row = bad[best, cap:]
-    nn = int(cap + np.argmax(row)) if row.any() else int(last_bad[best])
-    return False, None, (best, nn)
+    starts = _tail_starts(bad)
+    best = int(np.argmin(starts))
+    if starts[best] <= cap:
+        return CauchyFlag(True)
+    return CauchyFlag(False, (best, cap + int(np.argmax(bad[best, cap:]))))
 
 
 def default_candidates(seq: SequenceWindow) -> list[Point]:
@@ -129,12 +143,7 @@ def default_candidates(seq: SequenceWindow) -> list[Point]:
     is what makes the K-style flags imply the d-style flags at any
     horizon.  Duplicates are dropped (they contribute identical rows)."""
     extra = seq.space.points() if seq.space.is_finite else seq.space.grid()
-    out, seen = [], set()
-    for p in list(seq.points) + list(extra):
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(list(seq.points) + list(extra)))
 
 
 def classify_cauchy(
@@ -153,45 +162,45 @@ def classify_cauchy(
         raise ValueError("classification needs a horizon of at least 2")
     n = len(seq)
     cap = n // 2
-    dmat = seq.distance_matrix()
     if candidates is not None:
         to_seq, from_seq = seq.candidate_distances(list(candidates))
-    elif "cand" in seq._cache:
-        to_seq, from_seq = seq._cache["cand"]
     else:
-        to_seq, from_seq = seq.candidate_distances(default_candidates(seq))
-        seq._cache["cand"] = (to_seq, from_seq)
-
-    idx = np.arange(n)
-    upper_mask = idx[None, :] >= idx[:, None]
-    lk = _k_pattern(dmat, epsilon, cap, upper_mask)
-    rk = _k_pattern(dmat.T, epsilon, cap, upper_mask)
-    ds = _k_pattern(np.maximum(dmat, dmat.T), epsilon, cap, upper_mask)
-    ld = _d_pattern(to_seq, epsilon, cap)
-    rd = _d_pattern(from_seq, epsilon, cap)
-
+        to_seq, from_seq = seq._default_candidate_distances
+    (left_K, n0), (right_K, _), (d_s, _) = (
+        _k_flag(seq, notion, epsilon, cap) for notion in ("left_K", "right_K", "d_s")
+    )
     verdict = CauchyVerdict(
-        left_d=CauchyFlag(ld[0], ld[2]),
-        left_K=CauchyFlag(lk[0], lk[2]),
-        right_d=CauchyFlag(rd[0], rd[2]),
-        right_K=CauchyFlag(rk[0], rk[2]),
-        d_s=CauchyFlag(ds[0], ds[2]),
+        left_d=_d_flag(to_seq, epsilon, cap),
+        left_K=left_K,
+        right_d=_d_flag(from_seq, epsilon, cap),
+        right_K=right_K,
+        d_s=d_s,
         epsilon=float(epsilon),
         horizon=n,
-        n0=lk[1],
+        n0=n0,
     )
-    _assert_internal_chain(verdict)
+    broken = _broken_implications(verdict)
+    if broken:
+        # Structural guarantee of the scan; a failure here is a classifier bug.
+        raise RuntimeError(f"classifier inconsistency: {broken[0]}")
     return verdict
 
 
-def _assert_internal_chain(v: CauchyVerdict) -> None:
-    # Structural guarantee of the scan; a failure here is a classifier bug.
-    if v.d_s.holds and not (v.left_K.holds and v.right_K.holds):
-        raise RuntimeError("classifier inconsistency: d_s without K flags")
-    if v.left_K.holds and not v.left_d.holds:
-        raise RuntimeError("classifier inconsistency: left_K without left_d")
-    if v.right_K.holds and not v.right_d.holds:
-        raise RuntimeError("classifier inconsistency: right_K without right_d")
+# (stronger, weaker): on any window the first flag implies the second
+IMPLICATIONS = (
+    ("d_s", "left_K"),
+    ("d_s", "right_K"),
+    ("left_K", "left_d"),
+    ("right_K", "right_d"),
+)
+
+
+def _broken_implications(v: CauchyVerdict) -> list[str]:
+    return [
+        f"{a} holds but {b} fails"
+        for a, b in IMPLICATIONS
+        if v.flag(a).holds and not v.flag(b).holds
+    ]
 
 
 EPSILON_LADDER = (0.1, 0.01, 0.001)
@@ -232,25 +241,19 @@ def detect_limit(
     if not cands:
         raise ValueError("candidate list must be nonempty")
     pts = list(seq.points)
-    n = len(pts)
-    cap = n // 2
-    to_seq = seq.space.cross(cands, pts)
-    from_seq = seq.space.cross(pts, cands).T
+    cap = len(pts) // 2
     if mode == "left":
-        dm = to_seq
+        dm = seq.space.cross(cands, pts)
     elif mode == "right":
-        dm = from_seq
+        dm = seq.space.cross(pts, cands).T
     else:
-        dm = np.maximum(to_seq, from_seq)
-    bad = dm >= tol
-    for ci, cand in enumerate(cands):
-        row = bad[ci]
-        if not row.any():
-            return cand, 0
-        last = n - 1 - int(np.argmax(row[::-1]))
-        if last + 1 <= cap:
-            return cand, last + 1
-    return None
+        dm = np.maximum(*seq.candidate_distances(cands))
+    starts = _tail_starts(dm >= tol)
+    ok = starts <= cap
+    if not ok.any():
+        return None
+    ci = int(np.argmax(ok))
+    return cands[ci], int(starts[ci])
 
 
 @dataclass
@@ -279,20 +282,8 @@ def check_implication_chain(
         raise ValueError("verdict pair has mismatched horizons")
     if verdict.epsilon != conjugate_verdict.epsilon:
         raise ValueError("verdict pair has mismatched epsilons")
-    out = []
-
-    def _implies(v: CauchyVerdict, tag: str):
-        if v.d_s.holds and not v.left_K.holds:
-            out.append(f"{tag}: d_s holds but left_K fails")
-        if v.d_s.holds and not v.right_K.holds:
-            out.append(f"{tag}: d_s holds but right_K fails")
-        if v.left_K.holds and not v.left_d.holds:
-            out.append(f"{tag}: left_K holds but left_d fails")
-        if v.right_K.holds and not v.right_d.holds:
-            out.append(f"{tag}: right_K holds but right_d fails")
-
-    _implies(verdict, "base")
-    _implies(conjugate_verdict, "conjugate")
+    out = [f"base: {s}" for s in _broken_implications(verdict)]
+    out += [f"conjugate: {s}" for s in _broken_implications(conjugate_verdict)]
 
     duals = [
         ("left_K", "right_K"),

@@ -282,6 +282,20 @@ def test_config_error_paths(tmp_path):
     cfg = dict(order_cfg, metric_mode="weird")
     assert main(["check-order", "--config", _write(tmp_path / "mo.json", cfg)]) == 2
     assert main(["check-relations", "--config", _write(tmp_path / "mr.json", cfg)]) == 2
+    # sample specs that are unknown, not a list, outside the carrier, or
+    # exhaustive on an interval; a relation that is not a string
+    for sample in ("bogus", 3, [5.0], "exhaustive"):
+        cfg = dict(order_cfg, sample=sample)
+        assert main(["check-order", "--config", _write(tmp_path / "sa.json", cfg)]) == 2
+    cfg = {"schema": "1", "space": {"id": "upper_interval"}, "sample": "exhaustive",
+           "output_dir": str(tmp_path / "o")}
+    assert main(["check-space", "--config", _write(tmp_path / "se.json", cfg)]) == 2
+    cfg = dict(order_cfg, relation=["left"])
+    assert main(["check-relations", "--config", _write(tmp_path / "rl.json", cfg)]) == 2
+    # a solver tol that the exact oracle cannot judge
+    cfg = {"schema": "1", "campaign": {"instances": 5, "max_points": 4},
+           "solver": {"tol": 0.6}, "output_dir": str(tmp_path / "o")}
+    assert main(["compare", "--config", _write(tmp_path / "ct.json", cfg), "--seed", "1"]) == 2
     # compare campaign fields that are not counts, or out of range
     for camp in ({"instances": "x"}, {"min_points": "a"}, {"max_points": [3]},
                  {"map_counts": "x"}, {"map_counts": 3}, {"map_counts": []},

@@ -312,6 +312,19 @@ def test_periodic_runs_match_their_fates():
     assert [(d["kind"], d["index"]) for d in report.disagreements] == [("trace", 1)] * 4
 
 
+def test_tol_above_a_distance_is_rejected():
+    # at tol 0.6 the flip stalls on non-fixed points after steps of 0.25,
+    # which the exact oracle would report as 8 false disagreements
+    space = finite_space([[0, 0.25], [0.25, 0]])
+    ctx = PreorderCtx(space, catalog.get_phi("table", values=[0, 0]), slack=1.0)
+    flip = CoupledMap(lambda x, y: 1 - x, name="flip")
+    with pytest.raises(ValueError, match="smallest nonzero distance 0.25"):
+        oracle_vs_solver(space, ctx, flip, cfg=SolverConfig(tol=0.6))
+    with pytest.raises(ValueError):
+        oracle_vs_solver(space, ctx, flip, cfg=SolverConfig(tol=0.25))
+    assert oracle_vs_solver(space, ctx, flip, cfg=SolverConfig(tol=0.2)).passed
+
+
 # -- the generator's spaces --------------------------------------------------------
 
 

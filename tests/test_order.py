@@ -14,7 +14,7 @@ from qpfix.order import (
     relation_matrix,
     seed_search,
 )
-from qpfix.spaces import finite_space
+from qpfix.spaces import UnsupportedError, finite_space
 
 
 def test_induced_leq_on_unit_interval(unit_ctx):
@@ -78,6 +78,13 @@ def test_isotone_counterexample(unit_ctx):
 def test_isotone_affine(unit_ctx):
     F = catalog.get_map("coupled_affine")
     assert check_isotone(unit_ctx, F, "grid").passed
+
+
+def test_isotone_exhaustive_needs_finite_carrier(unit_ctx):
+    # as resolve_sample does: no silent fall-back to the grid
+    F = catalog.get_map("coupled_max")
+    with pytest.raises(UnsupportedError):
+        check_isotone(unit_ctx, F, "exhaustive")
 
 
 def test_seed_search_max(unit_ctx):

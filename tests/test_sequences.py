@@ -7,6 +7,7 @@ from qpfix.sequences import (
     CauchyFlag,
     CauchyVerdict,
     SequenceWindow,
+    _tail_starts,
     check_implication_chain,
     classify_cauchy,
     classify_ladder,
@@ -45,6 +46,44 @@ def brute_d_start(points, candidates, dist, epsilon, cap):
         if n0 <= cap and (best is None or n0 < best):
             best = n0
     return best
+
+
+def brute_k_witness(points, dist, epsilon, cap):
+    """First row-major (k, n) with cap <= k <= n and dist >= epsilon."""
+    for k in range(cap, len(points)):
+        for m in range(k, len(points)):
+            if dist(points[k], points[m]) >= epsilon:
+                return (k, m)
+    return None
+
+
+def brute_d_witness(points, candidates, dist, epsilon, cap):
+    """The first candidate with the smallest start, and its first
+    violation at or past the cap."""
+    starts = []
+    for c in candidates:
+        n0 = 0
+        for m in range(len(points)):
+            if dist(c, points[m]) >= epsilon:
+                n0 = m + 1
+        starts.append(n0)
+    best = starts.index(min(starts))
+    for m in range(cap, len(points)):
+        if dist(candidates[best], points[m]) >= epsilon:
+            return (best, m)
+    return None
+
+
+def brute_limit(points, candidates, dist, tol, cap):
+    """Per-candidate loop: the first candidate whose tail start is <= cap."""
+    for c in candidates:
+        n0 = 0
+        for m in range(len(points)):
+            if dist(c, points[m]) >= tol:
+                n0 = m + 1
+        if n0 <= cap:
+            return c, n0
+    return None
 
 
 def _inv_seq():
@@ -105,6 +144,31 @@ def test_classifier_matches_brute_force_on_random_windows():
             assert verdict.right_d.holds == (
                 brute_d_start(pts, cands, rd, eps, cap) is not None
             )
+            # the minimal starts: n0 is the left-K start, and the conjugate
+            # window's n0 the right-K start
+            assert verdict.n0 == brute_k_start(pts, d, eps, cap)
+            conj = classify_cauchy(SequenceWindow(pts, space.conjugate()), eps)
+            assert conj.n0 == brute_k_start(pts, rd, eps, cap)
+            # every failing flag refutes with the first row-major violation
+            uniq = list(dict.fromkeys(cands))  # the default candidates, in order
+            for name, dist in (("left_K", d), ("right_K", rd), ("d_s", ds)):
+                flag = verdict.flag(name)
+                want = None if flag.holds else brute_k_witness(pts, dist, eps, cap)
+                assert flag.witness == want
+            for name, dist in (("left_d", d), ("right_d", rd)):
+                flag = verdict.flag(name)
+                want = None if flag.holds else brute_d_witness(pts, uniq, dist, eps, cap)
+                assert flag.witness == want
+            # the kernel's d starts, minimised over candidate rows
+            to_seq, from_seq = seq.candidate_distances(uniq)
+            for rows, dist in ((to_seq, d), (from_seq, rd)):
+                start = int(_tail_starts(rows >= eps).min())
+                want = brute_d_start(pts, uniq, dist, eps, cap)
+                assert (start if start <= cap else None) == want
+            # detect_limit in all three modes against a per-candidate loop
+            for mode, dist in (("left", d), ("right", rd), ("symmetric", ds)):
+                got = detect_limit(seq, space.points(), mode=mode, tol=eps)
+                assert got == brute_limit(pts, space.points(), dist, eps, cap)
 
 
 def test_classify_argument_errors(unit_space):
