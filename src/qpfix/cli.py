@@ -217,9 +217,14 @@ def _cmd_check_order(args) -> int:
     ok = laws.passed and bound.passed
     if "maps" in cfg:
         coupled = _build_maps(cfg["maps"])[0]
-        iso = check_isotone(ctx, coupled, "grid" if not space.is_finite else "exhaustive")
-        payload["isotone"] = iso.as_dict()
-        ok = ok and iso.passed
+        try:
+            iso = check_isotone(ctx, coupled, "grid" if not space.is_finite else "exhaustive")
+        except DomainError as exc:  # an image left the carrier: a finding
+            payload["isotone"] = {"passed": False, "domain_escape": str(exc)}
+            ok = False
+        else:
+            payload["isotone"] = iso.as_dict()
+            ok = ok and iso.passed
     payload["passed"] = ok
     _write_json(payload, cfg["output_dir"])
     return 0 if ok else 1
@@ -239,7 +244,12 @@ def _cmd_check_relations(args) -> int:
     if relation not in ("left", "right"):
         raise ConfigError('relation must be "left" or "right"')
     check = check_weakly_left_related if relation == "left" else check_weakly_right_related
-    report = check(ctx, maps[0], maps[1], "exhaustive" if ctx.space.is_finite else "grid")
+    try:
+        report = check(ctx, maps[0], maps[1], "exhaustive" if ctx.space.is_finite else "grid")
+    except DomainError as exc:  # an image left the carrier: a finding
+        payload = {"kind": relation, "passed": False, "domain_escape": str(exc)}
+        _write_json(payload, cfg["output_dir"])
+        return 1
     _write_json(report.as_dict(), cfg["output_dir"])
     return 0 if report.passed else 1
 

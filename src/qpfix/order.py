@@ -161,12 +161,28 @@ class IsotoneReport:
         }
 
 
-def isotone_sample(
-    ctx: PreorderCtx, grid: int = ISOTONE_GRID_POINTS
-) -> Iterable[tuple[Point, Point, Point, Point]]:
-    """Full 4-fold product of the default grid, row-major."""
-    pts = ctx.space.grid(grid)
-    return itertools.product(pts, repeat=4)
+def _index_points(space: QPSpace, points: Iterable[Point]) -> tuple[list, np.ndarray]:
+    """The distinct points in first-seen order, each required once, and the
+    position of every input point among them.  Points are told apart by
+    type and repr, so 1 and 1.0, or 0.0 and -0.0, stay distinct and a report
+    can quote the objects it was given."""
+    index: dict = {}
+    distinct: list = []
+    pos = []
+    for p in points:
+        key = (type(p), repr(p))
+        i = index.get(key)
+        if i is None:
+            space.require(p)
+            i = index[key] = len(distinct)
+            distinct.append(p)
+        pos.append(i)
+    return distinct, np.array(pos, dtype=np.intp)
+
+
+# Cells of the applicability mask built at once.  Whole rows of the first
+# coordinate are batched, so a large finite carrier needs O(n^3) memory.
+_ISOTONE_BLOCK_CELLS = 1 << 20
 
 
 def check_isotone(
@@ -177,28 +193,69 @@ def check_isotone(
     """Check order preservation of a two-argument map.
 
     For every sampled tuple (x, z, y, w) with x below z and y below w,
-    the images F(x, y) and F(z, w) must be related the same way.
+    the images F(x, y) and F(z, w) must be related the same way.  The
+    string specs sample the 4-fold row-major product of the default grid.
+    Both relations are read from relation matrices, one over the sample
+    points and one over the images, and F is evaluated once per distinct
+    argument pair, in the order a row-major scan first needs it.
     """
+    space = ctx.space
     if isinstance(sample, str):
         if sample not in ("grid", "exhaustive"):
             raise ValueError(f"unknown isotone sample spec {sample!r}")
-        if sample == "exhaustive" and not ctx.space.is_finite:
+        if sample == "exhaustive" and not space.is_finite:
             raise UnsupportedError("exhaustive sampling needs a finite carrier")
-        tuples = isotone_sample(ctx)
+        pts = space.grid(ISOTONE_GRID_POINTS)
+        for p in pts:
+            space.require(p)
+        rel = relation_matrix(ctx, pts)
+        n = len(pts)
+        checked = n**4
+        step = max(1, _ISOTONE_BLOCK_CELLS // n**3)
+
+        def applicable_tuples():
+            for a in range(0, n, step):
+                x, z, y, w = np.nonzero(rel[a : a + step, :, None, None] & rel[None, None])
+                yield x + a, z, y, w
+
     else:
-        tuples = sample
+        rows = [(x, z, y, w) for x, z, y, w in sample]
+        pts, pos = _index_points(space, itertools.chain.from_iterable(rows))
+        rel = relation_matrix(ctx, pts)
+        X, Z, Y, W = pos.reshape(-1, 4).T
+        checked = len(rows)
+
+        def applicable_tuples():
+            t = np.flatnonzero(rel[X, Z] & rel[Y, W])
+            yield X[t], Z[t], Y[t], W[t]
+
+    # Pass 1: the argument pairs (x, y) and (z, w) of the applicable
+    # tuples, numbered in the order the scan first reaches them.
+    m = len(pts)
+    slot: dict = {}
+    applicable = 0
+    for x, z, y, w in applicable_tuples():
+        applicable += len(x)
+        reached = np.column_stack([x * m + y, z * m + w]).ravel()
+        ids, first = np.unique(reached, return_index=True)
+        for pair in ids[np.argsort(first)].tolist():
+            slot.setdefault(pair, len(slot))
+    pairs = np.fromiter(slot, dtype=np.int64, count=len(slot))
+    images = [coupled(pts[p // m], pts[p % m]) for p in pairs.tolist()]
+    image_pts, image_pos = _index_points(space, images)
+    image_rel = relation_matrix(ctx, image_pts)
+
+    # Pass 2: the applicable tuples whose images are unrelated, row-major.
+    by_pair = np.argsort(pairs)
+    sorted_pairs = pairs[by_pair]
     counterexamples = []
-    checked = applicable = 0
-    for x, z, y, w in tuples:
-        checked += 1
-        if not (induced_leq(ctx, x, z) and induced_leq(ctx, y, w)):
-            continue
-        applicable += 1
-        fxy = coupled(x, y)
-        fzw = coupled(z, w)
-        if not induced_leq(ctx, fxy, fzw):
+    for x, z, y, w in applicable_tuples():
+        lo = by_pair[np.searchsorted(sorted_pairs, x * m + y)]
+        hi = by_pair[np.searchsorted(sorted_pairs, z * m + w)]
+        bad = ~image_rel[image_pos[lo], image_pos[hi]]
+        for *t, a, b in zip(*(v[bad].tolist() for v in (x, z, y, w, lo, hi))):
             counterexamples.append(
-                {"tuple": (x, z, y, w), "image_lo": fxy, "image_hi": fzw}
+                {"tuple": tuple(pts[i] for i in t), "image_lo": images[a], "image_hi": images[b]}
             )
     return IsotoneReport(counterexamples, checked, applicable)
 

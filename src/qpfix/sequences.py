@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spaces import Point, QPSpace
+from .spaces import _CONTAINS_EPS, Point, QPSpace
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,27 @@ class SequenceWindow:
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("sequence window must be nonempty")
-        # finite windows of in-range integer indices skip the per-point check
-        idx = np.asarray(self.points) if self.space.is_finite else None
-        if idx is None or idx.dtype.kind != "i" or (idx < 0).any() or (
-            idx >= self.space.carrier.size
-        ).any():
-            for p in self.points:
+        if not self._in_carrier_at_once():
+            for p in self.points:  # names the first point outside the carrier
                 self.space.require(p)
+
+    def _in_carrier_at_once(self) -> bool:
+        """One array test that passes windows of in-range integer indices
+        (finite) or of finite in-range floats (interval, with the carrier's
+        rounding grace); False sends the window through the per-point check."""
+        try:
+            arr = np.asarray(self.points)
+        except (TypeError, ValueError):  # ragged or unconvertible points
+            return False
+        if arr.ndim != 1:
+            return False
+        carrier = self.space.carrier
+        if self.space.is_finite:
+            return arr.dtype.kind == "i" and bool(((arr >= 0) & (arr < carrier.size)).all())
+        if arr.dtype.kind != "f":
+            return False
+        arr = arr.astype(np.float64, copy=False)  # compare as contains() does, in float
+        return bool(((arr >= carrier.lo - _CONTAINS_EPS) & (arr <= carrier.hi + _CONTAINS_EPS)).all())
 
     def __len__(self) -> int:
         return len(self.points)
@@ -163,7 +177,8 @@ def classify_cauchy(
     n = len(seq)
     cap = n // 2
     if candidates is not None:
-        to_seq, from_seq = seq.candidate_distances(list(candidates))
+        candidates = list(candidates)
+        to_seq, from_seq = seq.candidate_distances(candidates)
     else:
         to_seq, from_seq = seq._default_candidate_distances
     (left_K, n0), (right_K, _), (d_s, _) = (
@@ -179,14 +194,17 @@ def classify_cauchy(
         horizon=n,
         n0=n0,
     )
-    broken = _broken_implications(verdict)
+    # K implies d only through the window's own points as candidate limits
+    covered = candidates is None or set(seq.points).issubset(candidates)
+    broken = _broken_implications(verdict, IMPLICATIONS if covered else IMPLICATIONS[:2])
     if broken:
         # Structural guarantee of the scan; a failure here is a classifier bug.
         raise RuntimeError(f"classifier inconsistency: {broken[0]}")
     return verdict
 
 
-# (stronger, weaker): on any window the first flag implies the second
+# (stronger, weaker): the first flag implies the second, d_s => K on any
+# window, K => d when the window's points are among the candidates
 IMPLICATIONS = (
     ("d_s", "left_K"),
     ("d_s", "right_K"),
@@ -195,10 +213,10 @@ IMPLICATIONS = (
 )
 
 
-def _broken_implications(v: CauchyVerdict) -> list[str]:
+def _broken_implications(v: CauchyVerdict, implications=IMPLICATIONS) -> list[str]:
     return [
         f"{a} holds but {b} fails"
-        for a, b in IMPLICATIONS
+        for a, b in implications
         if v.flag(a).holds and not v.flag(b).holds
     ]
 

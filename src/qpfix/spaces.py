@@ -298,6 +298,10 @@ class T0Report:
         }
 
 
+# Cells of the triangle-excess tensor built at once by check_axioms.
+_AXIOM_BLOCK_CELLS = 1 << 20
+
+
 def check_axioms(
     space: QPSpace,
     sample: Union[str, Sequence[Point]] = "default",
@@ -315,19 +319,17 @@ def check_axioms(
         (pts[i], float(d[i, i])) for i in range(n) if abs(d[i, i]) > slack
     ]
 
-    # excess[i,j,k] = d(i,k) - d(i,j) - d(j,k); positive beyond slack is a violation
-    excess = d[:, None, :] - d[:, :, None] - d[None, :, :]
-    bad = np.argwhere(excess > slack)
-    triangle = [
-        (
-            pts[i],
-            pts[j],
-            pts[k],
-            float(d[i, k]),
-            float(d[i, j] + d[j, k]),
-        )
-        for i, j, k in bad
-    ]
+    # excess[i,j,k] = d(i,k) - d(i,j) - d(j,k); positive beyond slack is a
+    # violation.  Blocks of i keep the tensor O(n^2) and the report row-major.
+    triangle = []
+    step = max(1, _AXIOM_BLOCK_CELLS // max(1, n * n))
+    for a in range(0, n, step):
+        rows = d[a : a + step]
+        excess = rows[:, None, :] - rows[:, :, None] - d[None, :, :]
+        triangle += [
+            (pts[i], pts[j], pts[k], float(d[i, k]), float(d[i, j] + d[j, k]))
+            for i, j, k in np.argwhere(excess > slack) + (a, 0, 0)
+        ]
     return AxiomReport(identity, triangle, n, slack)
 
 

@@ -124,6 +124,28 @@ def test_solve_seed_search_reports_domain_escape(tmp_path):
     assert "not in the carrier" in report["detail"]
 
 
+def test_check_order_reports_domain_escape(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = {k: ESCAPE_CONFIG[k] for k in ("schema", "space", "phi", "maps")}
+    cfg["output_dir"] = out
+    assert main(["check-order", "--config", _write(tmp_path / "c.json", cfg)]) == 1
+    report = _read_report(out)
+    assert report["passed"] is False
+    assert report["laws"]["passed"]
+    assert report["isotone"]["passed"] is False
+    assert "point 2.0 is not in the carrier" in report["isotone"]["domain_escape"]
+
+
+def test_check_relations_reports_domain_escape(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = {k: ESCAPE_CONFIG[k] for k in ("schema", "space", "phi")}
+    cfg.update(maps=ESCAPE_CONFIG["maps"] + [{"id": "identity"}], output_dir=out)
+    assert main(["check-relations", "--config", _write(tmp_path / "c.json", cfg)]) == 1
+    report = _read_report(out)
+    assert (report["kind"], report["passed"]) == ("left", False)
+    assert "point 2.0 is not in the carrier" in report["domain_escape"]
+
+
 def test_check_space_planted_violation(tmp_path):
     out = str(tmp_path / "out")
     cfg = {

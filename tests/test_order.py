@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qpfix import catalog
-from qpfix.oracle import random_finite_space, random_phi_table
+from qpfix import catalog, order
+from qpfix.oracle import random_finite_space, random_isotone_coupled, random_phi_table
 from qpfix.order import (
+    ISOTONE_GRID_POINTS,
     CoupledMap,
+    IsotoneReport,
     PhiFn,
     PreorderCtx,
     check_isotone,
@@ -14,7 +18,7 @@ from qpfix.order import (
     relation_matrix,
     seed_search,
 )
-from qpfix.spaces import UnsupportedError, finite_space
+from qpfix.spaces import DomainError, UnsupportedError, finite_space
 
 
 def test_induced_leq_on_unit_interval(unit_ctx):
@@ -85,6 +89,116 @@ def test_isotone_exhaustive_needs_finite_carrier(unit_ctx):
     F = catalog.get_map("coupled_max")
     with pytest.raises(UnsupportedError):
         check_isotone(unit_ctx, F, "exhaustive")
+
+
+def reference_check_isotone(ctx, coupled, sample="grid"):
+    """The tuple-by-tuple loop check_isotone used to run, kept as the
+    reference its relation-matrix kernel must reproduce."""
+    if isinstance(sample, str):
+        if sample not in ("grid", "exhaustive"):
+            raise ValueError(f"unknown isotone sample spec {sample!r}")
+        if sample == "exhaustive" and not ctx.space.is_finite:
+            raise UnsupportedError("exhaustive sampling needs a finite carrier")
+        tuples = itertools.product(ctx.space.grid(ISOTONE_GRID_POINTS), repeat=4)
+    else:
+        tuples = sample
+    counterexamples = []
+    checked = applicable = 0
+    for x, z, y, w in tuples:
+        checked += 1
+        if not (induced_leq(ctx, x, z) and induced_leq(ctx, y, w)):
+            continue
+        applicable += 1
+        fxy = coupled(x, y)
+        fzw = coupled(z, w)
+        if not induced_leq(ctx, fxy, fzw):
+            counterexamples.append(
+                {"tuple": (x, z, y, w), "image_lo": fxy, "image_hi": fzw}
+            )
+    return IsotoneReport(counterexamples, checked, applicable)
+
+
+def assert_isotone_matches_reference(ctx, coupled, sample):
+    got = check_isotone(ctx, coupled, sample)
+    want = reference_check_isotone(ctx, coupled, sample)
+    assert (got.checked, got.applicable) == (want.checked, want.applicable)
+    assert got.counterexamples == want.counterexamples
+    # repr tells np.float64 from float, int from np.int64 and -0.0 from 0.0
+    assert repr(got.counterexamples) == repr(want.counterexamples)
+    return got
+
+
+def test_isotone_matches_reference_on_random_finite_instances(monkeypatch):
+    rng = np.random.default_rng(17)
+    found = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 7))
+        space = random_finite_space(rng, n, t0=bool(trial % 2))
+        mode = ("plain", "symmetrized")[int(rng.integers(0, 2))]
+        ctx = PreorderCtx(space, random_phi_table(rng, n), metric_mode=mode, slack=0.0)
+        rows = rng.integers(0, n, size=(n, n)).tolist()
+        table = CoupledMap(lambda a, b: rows[int(a)][int(b)], name="F_any")
+        for coupled in (random_isotone_coupled(rng, ctx), table):
+            found += len(assert_isotone_matches_reference(ctx, coupled, "exhaustive").counterexamples)
+    assert found  # the arbitrary tables must break isotonicity somewhere
+    # one mask row at a time: blocking over the first coordinate keeps the order
+    monkeypatch.setattr(order, "_ISOTONE_BLOCK_CELLS", 1)
+    assert_isotone_matches_reference(ctx, table, "grid")
+
+
+EXTRA_COUPLED = (
+    CoupledMap(lambda x, y: 1.0 - x, name="flip"),
+    CoupledMap(lambda x, y: np.minimum(y, 1.0 - x), name="np_min_flip"),
+)
+
+
+@pytest.mark.parametrize("phi_id", ["identity", "arctan", "neg_exp"])
+@pytest.mark.parametrize("mode", ["plain", "symmetrized"])
+def test_isotone_matches_reference_on_the_interval_grid(unit_space, phi_id, mode):
+    ctx = PreorderCtx(unit_space, catalog.get_phi(phi_id), metric_mode=mode)
+    ids = ("coupled_max", "coupled_min", "coupled_affine", "coupled_product",
+           "coupled_projection")
+    for coupled in [catalog.get_map(i) for i in ids] + list(EXTRA_COUPLED):
+        assert_isotone_matches_reference(ctx, coupled, "grid")
+
+
+def test_isotone_matches_reference_on_explicit_tuples_with_repeats(unit_ctx):
+    rng = np.random.default_rng(4)
+    pool = [0.0, -0.0, 0.5, 1, 1.0, np.float64(0.25), 0.75, 0.5]
+    tuples = [tuple(pool[i] for i in rng.integers(0, len(pool), 4)) for _ in range(300)]
+    maps = [catalog.get_map("coupled_max"), *EXTRA_COUPLED]
+    for coupled in maps:
+        report = assert_isotone_matches_reference(unit_ctx, coupled, tuples)
+        assert report.checked == 300
+    assert not check_isotone(unit_ctx, EXTRA_COUPLED[0], [list(t) for t in tuples]).passed
+
+
+def test_isotone_empty_sample(unit_ctx):
+    report = assert_isotone_matches_reference(unit_ctx, catalog.get_map("coupled_max"), [])
+    assert (report.checked, report.applicable, report.counterexamples) == (0, 0, [])
+
+
+@pytest.mark.parametrize("sample", ["grid", [(0.0, 0.5, 0.25, 1.0), (0.0, 0.5, 0.0, 0.5)] * 3])
+def test_isotone_calls_the_map_once_per_distinct_pair_in_loop_order(unit_ctx, sample):
+    calls = []
+    F = CoupledMap(lambda x, y: calls.append((x, y)) or max(x, y), name="counted_max")
+    reference_check_isotone(unit_ctx, F, sample)
+    loop_calls, calls[:] = list(dict.fromkeys(calls)), []
+    report = check_isotone(unit_ctx, F, sample)
+    assert report.applicable > len(calls)
+    assert calls == loop_calls  # each pair once, where the loop first needed it
+
+
+@pytest.mark.parametrize("sample", ["grid", [(0.0, 0.5, 0.0, 0.5), (0.5, 1.0, 0.5, 1.0)]])
+def test_isotone_escaping_image_raises_the_loops_domain_error(unit_ctx, sample):
+    # F(x, y) = x + y leaves [0, 1] at many pairs; both must name the same first one
+    F = CoupledMap(lambda x, y: x + y, name="sum")
+    with pytest.raises(DomainError) as want:
+        reference_check_isotone(unit_ctx, F, sample)
+    with pytest.raises(DomainError) as got:
+        check_isotone(unit_ctx, F, sample)
+    assert str(got.value) == str(want.value)
+    assert "is not in the carrier" in str(got.value)
 
 
 def test_seed_search_max(unit_ctx):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qpfix import catalog
+from qpfix import catalog, sequences
 from qpfix.oracle import random_finite_space
+from qpfix.spaces import DomainError, QPSpace, finite_space
 from qpfix.sequences import (
     CauchyFlag,
     CauchyVerdict,
@@ -177,6 +178,48 @@ def test_classify_argument_errors(unit_space):
         classify_cauchy(seq, 0.0)
     with pytest.raises(ValueError):
         classify_cauchy(SequenceWindow((0.1,), unit_space), 0.1)
+
+
+def test_explicit_candidates_without_the_window_points_are_not_a_bug(unit_space):
+    # left_K holds on a constant window, but the only candidate 1.0 is no
+    # left-d limit of it: K implies d only through the window's own points
+    verdict = classify_cauchy(SequenceWindow((0.5,) * 4, unit_space), 0.1, candidates=[1.0])
+    assert verdict.left_K.holds and verdict.right_K.holds and verdict.d_s.holds
+    assert not verdict.left_d.holds and verdict.left_d.witness == (0, 2)
+    assert verdict.right_d.holds
+
+
+def test_d_s_implies_k_is_checked_for_any_candidates(unit_space, monkeypatch):
+    def planted(seq, notion, epsilon, cap):  # d_s holds, the K flags fail
+        return (CauchyFlag(True), 0) if notion == "d_s" else (CauchyFlag(False, (0, 0)), None)
+
+    monkeypatch.setattr(sequences, "_k_flag", planted)
+    seq = SequenceWindow((0.5,) * 4, unit_space)
+    for candidates in (None, [1.0], [0.5, 1.0]):
+        with pytest.raises(RuntimeError, match="d_s holds but left_K fails"):
+            classify_cauchy(seq, 0.1, candidates=candidates)
+
+
+def test_interval_window_is_validated_in_one_pass(unit_space, monkeypatch):
+    calls = []
+    require = QPSpace.require
+    monkeypatch.setattr(QPSpace, "require", lambda s, x: calls.append(x) or require(s, x))
+    SequenceWindow(tuple(np.linspace(0.0, 1.0 + 1e-10, 50)), unit_space)
+    assert calls == []
+    # a rejected window goes point by point, so the error names the first bad point
+    for bad, shown in ((float("nan"), "nan"), (1.5, "1.5"), ("x", "'x'"), (None, "None")):
+        with pytest.raises(DomainError, match=f"point {shown} is not in the carrier"):
+            SequenceWindow((0.2, bad, 2.0), unit_space)
+    with pytest.raises(DomainError, match=r"point \(0.5,\) is not"):
+        SequenceWindow((0.2, (0.5,)), unit_space)
+    # 2e-9 below the carrier: compared in float32, the bound would round down to it
+    f = np.float32(0.3)
+    above_f = catalog.get_space("upper_interval", lo=float(f) + 2e-9, hi=1.0)
+    with pytest.raises(DomainError, match="is not in the carrier"):
+        SequenceWindow((np.float32(0.5), f), above_f)
+    finite = finite_space([[0, 1], [1, 0]])
+    with pytest.raises(DomainError, match=r"point \(0, 1\) is not"):
+        SequenceWindow(((0, 1), (1, 0)), finite)  # index pairs, not indices
 
 
 def test_epsilon_monotonicity():

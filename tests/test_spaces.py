@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpfix import spaces
 from qpfix.oracle import random_finite_space
 from qpfix.spaces import (
     BallQuery,
@@ -90,6 +91,39 @@ def test_axioms_catch_planted_triangle_violation():
     report = check_axioms(space, "exhaustive")
     assert not report.passed
     assert (0, 1, 2, 5.0, 2.0) in report.triangle_violations
+
+
+def reference_triangle_violations(pts, d, slack):
+    return [
+        (pts[i], pts[j], pts[k], float(d[i, k]), float(d[i, j] + d[j, k]))
+        for i in range(len(pts))
+        for j in range(len(pts))
+        for k in range(len(pts))
+        if d[i, k] - d[i, j] - d[j, k] > slack
+    ]
+
+
+@pytest.mark.parametrize("block_cells", [1, 50, 1 << 20])
+def test_axioms_triangle_scan_matches_triple_loop(monkeypatch, block_cells):
+    monkeypatch.setattr(spaces, "_AXIOM_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(8)
+    found = 0
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        m = random_finite_space(rng, n).matrix.copy()
+        for _ in range(int(rng.integers(1, 4))):  # planted violations
+            i, k = rng.integers(0, n, 2)
+            m[i, k] += float(rng.integers(1, 5))
+        np.fill_diagonal(m, 0.0)
+        space = finite_space(m)
+        report = check_axioms(space, "exhaustive", slack=0.0)
+        want = reference_triangle_violations(space.points(), m, 0.0)
+        assert report.triangle_violations == want
+        assert [type(v) for row in report.triangle_violations for v in row[3:]] == [float] * (
+            2 * len(want)
+        )
+        found += len(want)
+    assert found
 
 
 def test_axioms_catch_nonzero_diagonal():
