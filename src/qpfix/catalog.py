@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .order import CoupledMap, PhiFn, SelfMap
-from .spaces import QPSpace, finite_space, interval_space, upper_interval_space
+from .spaces import QPSpace, _lower_interval_space, finite_space, upper_interval_space
 
 
 class CatalogError(LookupError):
@@ -49,15 +49,8 @@ def _space(space_id: str, params: dict) -> QPSpace:
     if space_id in ("upper_interval", "lower_interval"):
         lo = float(params.pop("lo", 0.0))
         hi = float(params.pop("hi", 1.0))
-        if space_id == "upper_interval":
-            return upper_interval_space(lo, hi)
-        return interval_space(
-            lo,
-            hi,
-            lambda x, y: max(y - x, 0.0),
-            name=f"lower_interval[{lo},{hi}]",
-            cross_fn=lambda a, b: np.maximum(b[None, :] - a[:, None], 0.0),
-        )
+        build = upper_interval_space if space_id == "upper_interval" else _lower_interval_space
+        return build(lo, hi)
     if space_id == "finite":
         matrix = params.pop("matrix")
         return finite_space(matrix)

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -365,6 +366,7 @@ def _cmd_compare(args) -> int:
 # -- entry point ---------------------------------------------------------
 
 
+@cache  # built once per process; parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qpfix",

@@ -52,36 +52,101 @@ class SequenceWindow:
     def __len__(self) -> int:
         return len(self.points)
 
-    @cached_property
-    def _dmat(self) -> np.ndarray:
-        return self.space.pairwise(list(self.points))
-
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise d(x_k, x_n) over the window, memoized."""
-        return self._dmat
+        """Pairwise d(x_k, x_n) over the window (N x N; classify never needs it)."""
+        return self.space.pairwise(list(self.points))
 
     def candidate_distances(self, candidates) -> tuple[np.ndarray, np.ndarray]:
         """(d(c, x_n), d(x_n, c)) matrices for a candidate list."""
         pts = list(self.points)
-        to_seq = self.space.cross(candidates, pts)
-        from_seq = self.space.cross(pts, candidates).T
-        return to_seq, from_seq
+        return self.space.cross(candidates, pts), self.space.cross(pts, candidates).T
+
+    def _witness_row(self, p: Point, start: int, side: int) -> np.ndarray:
+        """d(p, x_n) (side 0) or d(x_n, p) (side 1) for n >= start: a witness row."""
+        tail = self.points[start:]
+        return self.space.cross([p], tail)[0] if side == 0 else self.space.cross(tail, [p])[:, 0]
 
     @cached_property
-    def _default_candidate_distances(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.candidate_distances(default_candidates(self))
+    def _profile(self):
+        """The epsilon-free work of the Cauchy flags, memoized."""
+        return (_DistinctProfile if self.space.sign is None else _SignedProfile)(self)
 
     @cached_property
-    def _k_profile(self) -> dict:
-        """Per K notion, worst[k]: the largest distance of row k from n = k
-        on.  A start n0 works iff worst[k] < epsilon for every k >= n0, so
-        this is all the epsilon-free work of the K flags."""
-        dmat = self._dmat
-        idx = np.arange(len(self))
-        upper = idx[None, :] >= idx[:, None]
-        left = np.where(upper, dmat, -np.inf).max(axis=1)
-        right = np.where(upper, dmat.T, -np.inf).max(axis=1)
-        return {"left_K": left, "right_K": right, "d_s": np.maximum(left, right)}
+    def _default_rows(self) -> tuple[list, object]:
+        candidates = default_candidates(self)
+        return candidates, self._profile.rows(candidates)
+
+
+class _DistinctProfile:
+    """Kernels over the window's U distinct points, placed in time by their
+    last occurrences: O(U^2 + N) for the U x U matrix and K profiles, then
+    O(C * U) per candidate list."""
+
+    def __init__(self, seq: SequenceWindow):
+        last = {}
+        for k, p in enumerate(seq.points):
+            last[p] = k  # keys stay in first-seen order
+        self.space, self.uniq = seq.space, list(last)
+        rank = {p: u for u, p in enumerate(last)}
+        ids = np.array([rank[p] for p in seq.points])
+        self.tail = np.fromiter(last.values(), dtype=int, count=len(last)) + 1
+        # tail[u] is one past u's last occurrence; latest first, the points
+        # seen at some n >= k are the first seen[k], where worst[k] looks
+        desc = np.argsort(-self.tail)
+        seen = len(desc) - np.searchsorted(np.sort(self.tail), np.arange(len(ids)), "right")
+        dmat = self.space.pairwise(self.uniq)
+        worst = lambda m: np.maximum.accumulate(m[:, desc], axis=1)[ids, seen - 1]
+        left, right = worst(dmat), worst(dmat.T)
+        self.k = {"left_K": left, "right_K": right, "d_s": np.maximum(left, right)}
+
+    def rows(self, candidates) -> tuple[np.ndarray, np.ndarray]:
+        return self.space.cross(candidates, self.uniq), self.space.cross(self.uniq, candidates).T
+
+    def starts(self, rows, epsilon: float) -> tuple[np.ndarray, ...]:
+        """Per candidate c, the first start from which d(c, x_n), and then
+        d(x_n, c), stays under epsilon: one past the last bad occurrence."""
+        return tuple(np.where(r >= epsilon, self.tail, 0).max(axis=1) for r in rows)
+
+
+class _SignedProfile:
+    """Kernels for d(x, y) = max(sign * (x - y), 0).  Float subtraction is
+    monotone in each argument, so the farthest point of a tail x[t:] is its
+    minimum or maximum, and each value compared is one the full matrix
+    holds: O(N) K profiles, O(log N) steps per candidate start."""
+
+    def __init__(self, seq: SequenceWindow):
+        x = np.asarray(seq.points, dtype=float)
+        # suffix minima of x and of -x (hi - c is exactly -c - (-hi)), with
+        # +inf sentinels at t = N, at distance 0 from everything
+        suffix_min = lambda v: np.append(np.minimum.accumulate(v[::-1])[::-1], np.inf)
+        self.lo, self.neg_hi = suffix_min(x), suffix_min(-x)
+        self.flip = seq.space.sign < 0  # the lower family swaps the two forms
+        a, b = np.maximum(x - self.lo[:-1], 0.0), np.maximum(-x - self.neg_hi[:-1], 0.0)
+        left, right = (b, a) if self.flip else (a, b)
+        self.k = {"left_K": left, "right_K": right, "d_s": np.maximum(left, right)}
+
+    rows = staticmethod(lambda candidates: np.asarray(candidates, dtype=float))
+
+    def starts(self, c: np.ndarray, epsilon: float) -> tuple[np.ndarray, ...]:
+        a, b = _signed_starts(c, self.lo, epsilon), _signed_starts(-c, self.neg_hi, epsilon)
+        return (b, a) if self.flip else (a, b)
+
+
+def _signed_starts(c: np.ndarray, lo: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per candidate, the first t with max(c - lo[t], 0) < epsilon, for lo
+    nondecreasing with lo[-1] = inf (t = len(lo) - 1 if none).  A float
+    search for the bound c - epsilon guesses each start; the guess is
+    checked exactly and a miss is bisected."""
+    good = lambda t: ~(np.maximum(c - lo[t], 0.0) >= epsilon)  # as the matrix compares
+    guess = np.searchsorted(lo[:-1], c - epsilon, "right")
+    ok, before = good(guess), (guess > 0) & good(guess - 1)
+    low = np.where(ok, np.where(before, 0, guess), guess + 1)
+    high = np.where(ok, guess, len(lo) - 1)
+    while (low < high).any():
+        mid = (low + high) // 2
+        ok = good(mid)
+        low, high = np.where(ok, low, mid + 1), np.where(ok, mid, high)
+    return high
 
 
 @dataclass(frozen=True)
@@ -102,6 +167,8 @@ class CauchyVerdict:
     epsilon: float
     horizon: int
     n0: Optional[int]  # minimal start index witnessing left_K, when it holds
+    # candidates held the window's points, so K implies d; not in as_dict
+    covered: bool = True
 
     def flag(self, name: str) -> CauchyFlag:
         return getattr(self, name)
@@ -127,28 +194,27 @@ def _tail_starts(bad: np.ndarray) -> np.ndarray:
 def _k_flag(seq: SequenceWindow, notion: str, epsilon: float, cap: int):
     """(flag, minimal start or None).  A failing flag's witness is the first
     row-major violation (k, n) with k >= cap, which refutes every start."""
-    bad = seq._k_profile[notion] >= epsilon
+    bad = seq._profile.k[notion] >= epsilon
     n0 = int(_tail_starts(bad))
     if n0 <= cap:
         return CauchyFlag(True), n0
     k = cap + int(np.argmax(bad[cap:]))
-    # row k of the notion's matrix from n = k on, read only for the witness
-    rows = {"left_K": seq._dmat[k, k:], "right_K": seq._dmat[k:, k]}
-    rows["d_s"] = np.maximum(rows["left_K"], rows["right_K"])
-    n = k + int(np.argmax(rows[notion] >= epsilon))
+    sides = {"left_K": (0,), "right_K": (1,), "d_s": (0, 1)}[notion]
+    row = np.max([seq._witness_row(seq.points[k], k, side) for side in sides], axis=0)
+    n = k + int(np.argmax(row >= epsilon))
     return CauchyFlag(False, (k, n)), None
 
 
-def _d_flag(cand_dists: np.ndarray, epsilon: float, cap: int) -> CauchyFlag:
-    """Does some candidate row (shape (candidates, N)) stay under epsilon
-    from a start <= cap on?  A failing flag's witness is the first best
-    candidate with its first violation at or past the cap."""
-    bad = cand_dists >= epsilon
-    starts = _tail_starts(bad)
+def _d_flag(seq: SequenceWindow, candidates, starts: np.ndarray, side: int,
+            epsilon: float, cap: int) -> CauchyFlag:
+    """Does some candidate stay under epsilon from a start <= cap on?  side
+    0 reads d(c, x_n), 1 d(x_n, c).  A failing flag's witness is the first
+    best candidate with its first violation at or past the cap."""
     best = int(np.argmin(starts))
     if starts[best] <= cap:
         return CauchyFlag(True)
-    return CauchyFlag(False, (best, cap + int(np.argmax(bad[best, cap:]))))
+    row = seq._witness_row(candidates[best], cap, side)
+    return CauchyFlag(False, (best, cap + int(np.argmax(row >= epsilon))))
 
 
 def default_candidates(seq: SequenceWindow) -> list[Point]:
@@ -176,27 +242,20 @@ def classify_cauchy(
         raise ValueError("classification needs a horizon of at least 2")
     n = len(seq)
     cap = n // 2
-    if candidates is not None:
-        candidates = list(candidates)
-        to_seq, from_seq = seq.candidate_distances(candidates)
+    if candidates is None:
+        (candidates, rows), covered = seq._default_rows, True
     else:
-        to_seq, from_seq = seq._default_candidate_distances
+        candidates = list(candidates)
+        rows, covered = seq._profile.rows(candidates), set(seq.points).issubset(candidates)
+    left_d, right_d = (
+        _d_flag(seq, candidates, starts, side, epsilon, cap)
+        for side, starts in enumerate(seq._profile.starts(rows, epsilon))
+    )
     (left_K, n0), (right_K, _), (d_s, _) = (
         _k_flag(seq, notion, epsilon, cap) for notion in ("left_K", "right_K", "d_s")
     )
-    verdict = CauchyVerdict(
-        left_d=_d_flag(to_seq, epsilon, cap),
-        left_K=left_K,
-        right_d=_d_flag(from_seq, epsilon, cap),
-        right_K=right_K,
-        d_s=d_s,
-        epsilon=float(epsilon),
-        horizon=n,
-        n0=n0,
-    )
-    # K implies d only through the window's own points as candidate limits
-    covered = candidates is None or set(seq.points).issubset(candidates)
-    broken = _broken_implications(verdict, IMPLICATIONS if covered else IMPLICATIONS[:2])
+    verdict = CauchyVerdict(left_d, left_K, right_d, right_K, d_s, float(epsilon), n, n0, covered)
+    broken = _broken_implications(verdict)
     if broken:
         # Structural guarantee of the scan; a failure here is a classifier bug.
         raise RuntimeError(f"classifier inconsistency: {broken[0]}")
@@ -213,7 +272,9 @@ IMPLICATIONS = (
 )
 
 
-def _broken_implications(v: CauchyVerdict, implications=IMPLICATIONS) -> list[str]:
+def _broken_implications(v: CauchyVerdict) -> list[str]:
+    # K implies d only through the window's own points as candidate limits
+    implications = IMPLICATIONS if v.covered else IMPLICATIONS[:2]
     return [
         f"{a} holds but {b} fails"
         for a, b in implications
@@ -258,15 +319,9 @@ def detect_limit(
     cands = list(candidates)
     if not cands:
         raise ValueError("candidate list must be nonempty")
-    pts = list(seq.points)
-    cap = len(pts) // 2
-    if mode == "left":
-        dm = seq.space.cross(cands, pts)
-    elif mode == "right":
-        dm = seq.space.cross(pts, cands).T
-    else:
-        dm = np.maximum(*seq.candidate_distances(cands))
-    starts = _tail_starts(dm >= tol)
+    cap = len(seq) // 2
+    left, right = seq._profile.starts(seq._profile.rows(cands), tol)
+    starts = {"left": left, "right": right, "symmetric": np.maximum(left, right)}[mode]
     ok = starts <= cap
     if not ok.any():
         return None
@@ -292,9 +347,9 @@ def check_implication_chain(
     """Cross-check a verdict pair computed from one sequence, the second
     on the conjugate space.
 
-    Within each verdict the symmetrized flag must imply the K flags and
-    each K flag its d flag; across the pair, left and right notions must
-    swap roles exactly.  Any inconsistency is a classifier bug.
+    Within each verdict d_s must imply the K flags and, if its candidates
+    covered the window, each K flag its d flag; across the pair, left and
+    right notions must swap roles exactly.  Any inconsistency is a bug.
     """
     if verdict.horizon != conjugate_verdict.horizon:
         raise ValueError("verdict pair has mismatched horizons")

@@ -79,6 +79,8 @@ class QPSpace:
     entry point.  ``matrix`` is set for finite spaces (row-major, so
     ``matrix[i, j] = d(i, j)``) and gives exhaustive scans O(1) lookup.
     ``cross_fn``, when present, vectorizes distances over point arrays.
+    ``sign`` tags the interval family d(x, y) = max(sign * (x - y), 0)
+    (+1 upper, -1 lower), on which Cauchy scans have exact O(N) kernels.
     """
 
     carrier: Carrier
@@ -86,6 +88,7 @@ class QPSpace:
     name: str = "space"
     matrix: Optional[np.ndarray] = None
     cross_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    sign: Optional[int] = None
 
     # -- carrier ------------------------------------------------------
 
@@ -161,6 +164,7 @@ class QPSpace:
             name=f"conj({self.name})",
             matrix=None if self.matrix is None else np.ascontiguousarray(self.matrix.T),
             cross_fn=cross,
+            sign=None if self.sign is None else -self.sign,
         )
 
     def sup_metric(self) -> "QPSpace":
@@ -208,13 +212,17 @@ def interval_space(
 def upper_interval_space(lo: float, hi: float) -> QPSpace:
     """[lo, hi] with the upper quasi-metric d(x, y) = max(x - y, 0)."""
     lo, hi = float(lo), float(hi)
-    return interval_space(
-        lo,
-        hi,
-        lambda x, y: max(x - y, 0.0),
-        name=f"upper_interval[{lo},{hi}]",
-        cross_fn=lambda a, b: np.maximum(a[:, None] - b[None, :], 0.0),
-    )
+    return QPSpace(IntervalCarrier(lo, hi), lambda x, y: max(x - y, 0.0),
+                   name=f"upper_interval[{lo},{hi}]", sign=1,
+                   cross_fn=lambda a, b: np.maximum(a[:, None] - b[None, :], 0.0))
+
+
+def _lower_interval_space(lo: float, hi: float) -> QPSpace:
+    """[lo, hi] with the lower quasi-metric d(x, y) = max(y - x, 0)."""
+    lo, hi = float(lo), float(hi)
+    return QPSpace(IntervalCarrier(lo, hi), lambda x, y: max(y - x, 0.0),
+                   name=f"lower_interval[{lo},{hi}]", sign=-1,
+                   cross_fn=lambda a, b: np.maximum(b[None, :] - a[:, None], 0.0))
 
 
 def finite_space(matrix: Iterable[Iterable[float]], name: str = "finite") -> QPSpace:
@@ -361,12 +369,12 @@ def space_to_json(space: QPSpace) -> dict:
             "n": space.carrier.size,
             "matrix": [[float(v) for v in row] for row in space.matrix],
         }
-    if space.name.startswith("upper_interval"):
+    if space.sign is not None:
         return {
             "kind": "interval",
             "lo": space.carrier.lo,
             "hi": space.carrier.hi,
-            "dist": "upper",
+            "dist": "upper" if space.sign > 0 else "lower",
         }
     raise ValueError(f"space {space.name!r} has no JSON form")
 
@@ -379,7 +387,9 @@ def space_from_json(obj: dict) -> QPSpace:
             raise ValueError("matrix size disagrees with declared n")
         return finite_space(m)
     if kind == "interval":
-        if obj.get("dist", "upper") != "upper":
-            raise ValueError(f"unknown interval distance {obj.get('dist')!r}")
-        return upper_interval_space(obj["lo"], obj["hi"])
+        build = {"upper": upper_interval_space, "lower": _lower_interval_space}
+        dist = obj.get("dist", "upper")
+        if dist not in build:
+            raise ValueError(f"unknown interval distance {dist!r}")
+        return build[dist](obj["lo"], obj["hi"])
     raise ValueError(f"unknown space kind {kind!r}")

@@ -171,6 +171,22 @@ def test_check_space_good(tmp_path):
     assert main(["check-space", "--config", _write(tmp_path / "c.json", cfg)]) == 0
 
 
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # usage errors before and after a valid command behave alike on one parser
+    assert main(["check-space"]) == 2
+    first = capsys.readouterr()
+    cfg = {"schema": "1", "space": {"id": "upper_interval"}, "output_dir": str(tmp_path / "o")}
+    assert main(["check-space", "--config", _write(tmp_path / "c.json", cfg)]) == 0
+    assert _read_report(str(tmp_path / "o"))["axioms"]["passed"]
+    capsys.readouterr()
+    assert main(["check-space"]) == 2
+    again = capsys.readouterr()
+    assert "the following arguments are required: --config" in first.err
+    assert (again.out, again.err) == (first.out, first.err)
+    assert main(["nope"]) == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_check_order(tmp_path):
     out = str(tmp_path / "out")
     cfg = {

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpfix import catalog, sequences
 from qpfix.oracle import random_finite_space
-from qpfix.spaces import DomainError, QPSpace, finite_space
+from qpfix.spaces import DomainError, QPSpace, finite_space, interval_space
 from qpfix.sequences import (
     CauchyFlag,
     CauchyVerdict,
@@ -12,6 +14,7 @@ from qpfix.sequences import (
     check_implication_chain,
     classify_cauchy,
     classify_ladder,
+    default_candidates,
     detect_limit,
 )
 
@@ -85,6 +88,172 @@ def brute_limit(points, candidates, dist, tol, cap):
         if n0 <= cap:
             return c, n0
     return None
+
+
+# -- the N x N matrix-path classifier that the distinct-point and signed
+#    kernels replaced, kept (with the window matrix passed in) as their
+#    reference ----------------------------------------------------------------
+
+
+def _matrix_k_profile(dmat: np.ndarray) -> dict:
+    """Per K notion, worst[k]: the largest distance of row k from n = k
+    on.  A start n0 works iff worst[k] < epsilon for every k >= n0, so
+    this is all the epsilon-free work of the K flags."""
+    idx = np.arange(len(dmat))
+    upper = idx[None, :] >= idx[:, None]
+    left = np.where(upper, dmat, -np.inf).max(axis=1)
+    right = np.where(upper, dmat.T, -np.inf).max(axis=1)
+    return {"left_K": left, "right_K": right, "d_s": np.maximum(left, right)}
+
+
+def _matrix_k_flag(dmat, profile, notion, epsilon, cap):
+    """(flag, minimal start or None).  A failing flag's witness is the first
+    row-major violation (k, n) with k >= cap, which refutes every start."""
+    bad = profile[notion] >= epsilon
+    n0 = int(_tail_starts(bad))
+    if n0 <= cap:
+        return CauchyFlag(True), n0
+    k = cap + int(np.argmax(bad[cap:]))
+    # row k of the notion's matrix from n = k on, read only for the witness
+    rows = {"left_K": dmat[k, k:], "right_K": dmat[k:, k]}
+    rows["d_s"] = np.maximum(rows["left_K"], rows["right_K"])
+    n = k + int(np.argmax(rows[notion] >= epsilon))
+    return CauchyFlag(False, (k, n)), None
+
+
+def _matrix_d_flag(cand_dists, epsilon, cap):
+    """Does some candidate row (shape (candidates, N)) stay under epsilon
+    from a start <= cap on?  A failing flag's witness is the first best
+    candidate with its first violation at or past the cap."""
+    bad = cand_dists >= epsilon
+    starts = _tail_starts(bad)
+    best = int(np.argmin(starts))
+    if starts[best] <= cap:
+        return CauchyFlag(True)
+    return CauchyFlag(False, (best, cap + int(np.argmax(bad[best, cap:]))))
+
+
+def matrix_classify(seq, epsilon, candidates=None):
+    n = len(seq)
+    cap = n // 2
+    if candidates is None:
+        candidates = default_candidates(seq)
+    to_seq, from_seq = seq.candidate_distances(list(candidates))
+    dmat = seq.distance_matrix()
+    profile = _matrix_k_profile(dmat)
+    (left_K, n0), (right_K, _), (d_s, _) = (
+        _matrix_k_flag(dmat, profile, notion, epsilon, cap)
+        for notion in ("left_K", "right_K", "d_s")
+    )
+    return CauchyVerdict(
+        left_d=_matrix_d_flag(to_seq, epsilon, cap),
+        left_K=left_K,
+        right_d=_matrix_d_flag(from_seq, epsilon, cap),
+        right_K=right_K,
+        d_s=d_s,
+        epsilon=float(epsilon),
+        horizon=n,
+        n0=n0,
+    )
+
+
+def matrix_detect_limit(seq, cands, mode, tol):
+    pts = list(seq.points)
+    cap = len(pts) // 2
+    if mode == "left":
+        dm = seq.space.cross(cands, pts)
+    elif mode == "right":
+        dm = seq.space.cross(pts, cands).T
+    else:
+        dm = np.maximum(*seq.candidate_distances(cands))
+    starts = _tail_starts(dm >= tol)
+    ok = starts <= cap
+    if not ok.any():
+        return None
+    ci = int(np.argmax(ok))
+    return cands[ci], int(starts[ci])
+
+
+def _skew(x, y):  # an untagged quasi-metric: the generic kernel on an interval
+    return max(x - y, 0.0) + 0.5 * max(y - x, 0.0)
+
+
+def _spaces_for(kind, seed):
+    if kind in ("finite_t0", "finite_non_t0"):
+        rng = np.random.default_rng(seed)
+        return random_finite_space(rng, int(rng.integers(1, 7)), t0=kind == "finite_t0")
+    if kind == "skew":
+        return interval_space(0.0, 1.0, _skew, name="skew")
+    if kind == "skew_vectorized":
+        cross = lambda a, b: (np.maximum(a[:, None] - b[None, :], 0.0)
+                              + 0.5 * np.maximum(b[None, :] - a[:, None], 0.0))
+        return interval_space(0.0, 1.0, _skew, name="skew", cross_fn=cross)
+    space = catalog.get_space(kind.removesuffix("_conj"), lo=0.0, hi=1.0)
+    return space.conjugate() if kind.endswith("_conj") else space
+
+
+# float pool with inexact differences (0.3 - 0.1 != 0.2) and exact ones
+_POOL = (0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 0.5, 0.25, 1 / 3, 0.1 + 0.2)
+
+
+@st.composite
+def _windows(draw):
+    kind = draw(st.sampled_from((
+        "finite_t0", "finite_non_t0", "upper_interval", "lower_interval",
+        "upper_interval_conj", "lower_interval_conj", "skew", "skew_vectorized",
+    )))
+    space = _spaces_for(kind, draw(st.integers(0, 2**32 - 1)))
+    if space.is_finite:
+        pool = space.points()
+    else:
+        extra = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+        pool = list(_POOL[: draw(st.integers(1, len(_POOL)))]) + extra
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=40))
+    return SequenceWindow(tuple(pool[i] for i in picks), space), pool
+
+
+@given(_windows(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_the_matrix_path(drawn, data):
+    seq, pool = drawn
+    dmat = seq.distance_matrix()
+    # epsilons from the window's own distances, so that ties are hit
+    own = sorted({float(v) for v in dmat.ravel() if v > 0}) or [0.1]
+    eps = data.draw(st.sampled_from(own) | st.sampled_from((0.05, 0.1, 0.5)))
+    lists = st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+    candidates = data.draw(st.none() | lists | lists.map(lambda c: c + list(seq.points)))
+
+    want = matrix_classify(seq, eps, candidates)
+    unique = len(set(seq.points))
+    n_cands = len(default_candidates(seq) if candidates is None else candidates)
+    cells = []
+    cross = QPSpace.cross
+    with pytest.MonkeyPatch.context() as mp:
+        counted = lambda s, a, b: cells.append(len(a) * len(b)) or cross(s, a, b)
+        mp.setattr(QPSpace, "cross", counted)
+        got = classify_cauchy(SequenceWindow(seq.points, seq.space), eps, candidates)
+    assert got.as_dict() == want.as_dict()
+    # no N x N matrix: the signed kernel needs no cross call at all
+    assert max(cells, default=0) <= max(unique, n_cands) * len(seq)
+    for mode in ("left", "right", "symmetric"):
+        assert detect_limit(seq, pool, mode, eps) == matrix_detect_limit(seq, pool, mode, eps)
+
+
+def test_signed_starts_are_exact_where_the_float_guess_misses():
+    # fl(0.7 - 0.1) = 0.6, yet d(0.7, 0.6) = fl(0.7 - 0.6) < 0.1: the float
+    # bound overshoots; with one ulp more on 0.3, it undershoots instead
+    c = 0.1 + 0.2
+    cases = [
+        ("upper_interval", (0.6,) * 5 + (0.7,) * 3, 0.7, 0.1, 0),
+        ("lower_interval", (0.7,) * 5 + (0.6,) * 3, 0.6, 0.1, 0),
+        ("upper_interval", (0.10000000000000005,) * 2 + (c,) * 6, c, 0.2, 2),
+    ]
+    for space_id, pts, cand, eps, start in cases:
+        seq = SequenceWindow(pts, catalog.get_space(space_id))
+        assert detect_limit(seq, [cand], "left", eps) == (cand, start)
+        assert matrix_detect_limit(seq, [cand], "left", eps) == (cand, start)
+        conj = SequenceWindow(pts, seq.space.conjugate())
+        assert detect_limit(conj, [cand], "right", eps) == (cand, start)
 
 
 def _inv_seq():
@@ -187,6 +356,14 @@ def test_explicit_candidates_without_the_window_points_are_not_a_bug(unit_space)
     assert verdict.left_K.holds and verdict.right_K.holds and verdict.d_s.holds
     assert not verdict.left_d.holds and verdict.left_d.witness == (0, 2)
     assert verdict.right_d.holds
+    assert not verdict.covered and "covered" not in verdict.as_dict()
+    # nor is it a chain inconsistency, on either side of the pair
+    conj = classify_cauchy(SequenceWindow((0.5,) * 4, unit_space.conjugate()), 0.1, [1.0])
+    assert not conj.right_d.holds
+    assert check_implication_chain(verdict, conj).passed
+    # with the window point among the candidates, K => d is checked again
+    covered = classify_cauchy(SequenceWindow((0.5,) * 4, unit_space), 0.1, [1.0, 0.5])
+    assert covered.covered and covered.left_d.holds
 
 
 def test_d_s_implies_k_is_checked_for_any_candidates(unit_space, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpfix import spaces
+from qpfix import catalog, spaces
 from qpfix.oracle import random_finite_space
 from qpfix.spaces import (
     BallQuery,
@@ -10,6 +10,7 @@ from qpfix.spaces import (
     check_axioms,
     check_T0,
     finite_space,
+    interval_space,
     space_from_json,
     space_to_json,
 )
@@ -166,6 +167,36 @@ def test_json_round_trip(unit_space, tmp_path):
         space_from_json({"kind": "taxicab"})
     with pytest.raises(ValueError):
         space_from_json({"kind": "interval", "lo": 0, "hi": 1, "dist": "euclid"})
+
+
+@pytest.mark.parametrize(
+    "space_id, dist", [("upper_interval", "upper"), ("lower_interval", "lower")]
+)
+def test_interval_json_round_trip(space_id, dist):
+    space = catalog.get_space(space_id, lo=-1.0, hi=2.0)
+    obj = space_to_json(space)
+    assert obj == {"kind": "interval", "lo": -1.0, "hi": 2.0, "dist": dist}
+    back = space_from_json(obj)
+    assert (back.name, back.sign) == (space.name, space.sign)
+    pts = [-1.0, 0.25, 2.0]
+    assert back.cross(pts, pts).tolist() == space.cross(pts, pts).tolist()
+    # the conjugate is the other family member, and is written out as such
+    flipped = {"upper": "lower", "lower": "upper"}[dist]
+    assert space_to_json(space.conjugate())["dist"] == flipped
+    with pytest.raises(ValueError, match="has no JSON form"):
+        space_to_json(space.sup_metric())
+
+
+def test_sign_tag_is_set_by_the_constructors_only():
+    upper = catalog.get_space("upper_interval")
+    assert (upper.sign, catalog.get_space("lower_interval").sign) == (1, -1)
+    assert (upper.conjugate().sign, upper.conjugate().conjugate().sign) == (-1, 1)
+    assert upper.sup_metric().sign is None
+    # a custom interval is untagged, whatever its name says
+    custom = interval_space(0, 1, lambda x, y: abs(x - y), name="upper_interval_x")
+    assert custom.sign is None
+    with pytest.raises(ValueError, match="has no JSON form"):
+        space_to_json(custom)
 
 
 def test_finite_space_validation():
