@@ -32,6 +32,7 @@ from .order import (
 from .sequences import (
     CauchyVerdict,
     SequenceWindow,
+    cauchy_moduli,
     check_implication_chain,
     classify_cauchy,
     classify_ladder,

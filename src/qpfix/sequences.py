@@ -11,8 +11,9 @@ pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, reduce
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,29 +53,28 @@ class SequenceWindow:
     def __len__(self) -> int:
         return len(self.points)
 
-    def distance_matrix(self) -> np.ndarray:
-        """Pairwise d(x_k, x_n) over the window (N x N; classify never needs it)."""
-        return self.space.pairwise(list(self.points))
-
-    def candidate_distances(self, candidates) -> tuple[np.ndarray, np.ndarray]:
-        """(d(c, x_n), d(x_n, c)) matrices for a candidate list."""
-        pts = list(self.points)
-        return self.space.cross(candidates, pts), self.space.cross(pts, candidates).T
-
-    def _witness_row(self, p: Point, start: int, side: int) -> np.ndarray:
-        """d(p, x_n) (side 0) or d(x_n, p) (side 1) for n >= start: a witness row."""
-        tail = self.points[start:]
-        return self.space.cross([p], tail)[0] if side == 0 else self.space.cross(tail, [p])[:, 0]
-
     @cached_property
     def _profile(self):
         """The epsilon-free work of the Cauchy flags, memoized."""
         return (_DistinctProfile if self.space.sign is None else _SignedProfile)(self)
 
     @cached_property
-    def _default_rows(self) -> tuple[list, object]:
-        candidates = default_candidates(self)
-        return candidates, self._profile.rows(candidates)
+    def _k_moduli(self) -> dict:
+        """Per K notion, from the profile's worst[k] (the largest distance of
+        row k from n = k on): the critical epsilon max(worst[cap:]), the prefix
+        maxima of worst[cap:] (a failing flag's k) and the ascending suffix
+        maxima of worst (n0, one past the last worst[k] >= epsilon).  Nothing
+        here refers back to the window: reference counting alone frees it."""
+        cap = len(self) // 2
+        return {notion: (float(w[cap:].max()), np.maximum.accumulate(w[cap:]),
+                         np.maximum.accumulate(w[::-1]))
+                for notion, w in self._profile.k.items()}
+
+    @cached_property
+    def _default_rows(self) -> tuple:
+        """The default candidates' rows and the critical epsilons of the d flags."""
+        rows = self._profile.rows(default_candidates(self))
+        return rows, self._profile.d_moduli(rows, len(self) // 2)
 
 
 class _DistinctProfile:
@@ -88,24 +88,34 @@ class _DistinctProfile:
             last[p] = k  # keys stay in first-seen order
         self.space, self.uniq = seq.space, list(last)
         rank = {p: u for u, p in enumerate(last)}
-        ids = np.array([rank[p] for p in seq.points])
+        self.at = np.array([rank[p] for p in seq.points])  # x_k is uniq[at[k]]
         self.tail = np.fromiter(last.values(), dtype=int, count=len(last)) + 1
         # tail[u] is one past u's last occurrence; latest first, the points
         # seen at some n >= k are the first seen[k], where worst[k] looks
         desc = np.argsort(-self.tail)
-        seen = len(desc) - np.searchsorted(np.sort(self.tail), np.arange(len(ids)), "right")
+        seen = len(desc) - np.searchsorted(np.sort(self.tail), np.arange(len(self.at)), "right")
         dmat = self.space.pairwise(self.uniq)
-        worst = lambda m: np.maximum.accumulate(m[:, desc], axis=1)[ids, seen - 1]
-        left, right = worst(dmat), worst(dmat.T)
+        self.own = dmat, dmat.T  # the distinct points' own rows, as candidates
+        worst = lambda m: np.maximum.accumulate(m[:, desc], axis=1)[self.at, seen - 1]
+        left, right = map(worst, self.own)
         self.k = {"left_K": left, "right_K": right, "d_s": np.maximum(left, right)}
 
     def rows(self, candidates) -> tuple[np.ndarray, np.ndarray]:
+        """Per side, d(c, u) and d(u, c) over the distinct points u."""
         return self.space.cross(candidates, self.uniq), self.space.cross(self.uniq, candidates).T
 
-    def starts(self, rows, epsilon: float) -> tuple[np.ndarray, ...]:
-        """Per candidate c, the first start from which d(c, x_n), and then
-        d(x_n, c), stays under epsilon: one past the last bad occurrence."""
-        return tuple(np.where(r >= epsilon, self.tail, 0).max(axis=1) for r in rows)
+    def d_moduli(self, rows, cap: int) -> tuple[float, ...]:
+        """Per side, the least over candidates of the largest distance from cap on."""
+        return tuple(float(r[:, self.tail > cap].max(axis=1).min()) for r in rows)
+
+    def starts(self, rows, side: int, epsilon: float) -> np.ndarray:
+        """Per candidate, the first start from which its distances on the side
+        stay under epsilon: one past the last bad occurrence."""
+        return np.where(rows[side] >= epsilon, self.tail, 0).max(axis=1)
+
+    def row(self, rows, c: int, side: int, start: int) -> np.ndarray:
+        """Candidate c's distances on the side to x_n for n >= start."""
+        return rows[side][c, self.at[start:]]
 
 
 class _SignedProfile:
@@ -115,21 +125,28 @@ class _SignedProfile:
     holds: O(N) K profiles, O(log N) steps per candidate start."""
 
     def __init__(self, seq: SequenceWindow):
-        x = np.asarray(seq.points, dtype=float)
-        # suffix minima of x and of -x (hi - c is exactly -c - (-hi)), with
-        # +inf sentinels at t = N, at distance 0 from everything
+        self.own = np.asarray(seq.points, dtype=float)  # x, the points as candidate values
+        self.at = range(len(self.own))
+        # per side, max(s * c - ext[t], 0) is the largest distance from c to x[t:], for ext
+        # the suffix minima of s * x (hi - c is exactly -c - (-hi)) and +inf at t = N
         suffix_min = lambda v: np.append(np.minimum.accumulate(v[::-1])[::-1], np.inf)
-        self.lo, self.neg_hi = suffix_min(x), suffix_min(-x)
-        self.flip = seq.space.sign < 0  # the lower family swaps the two forms
-        a, b = np.maximum(x - self.lo[:-1], 0.0), np.maximum(-x - self.neg_hi[:-1], 0.0)
-        left, right = (b, a) if self.flip else (a, b)
+        forms = tuple((s, suffix_min(s * self.own)) for s in (1, -1))
+        self.forms = forms[::-1] if seq.space.sign < 0 else forms  # lower swaps them
+        left, right = (np.maximum(s * self.own - ext[:-1], 0.0) for s, ext in self.forms)
         self.k = {"left_K": left, "right_K": right, "d_s": np.maximum(left, right)}
 
     rows = staticmethod(lambda candidates: np.asarray(candidates, dtype=float))
 
-    def starts(self, c: np.ndarray, epsilon: float) -> tuple[np.ndarray, ...]:
-        a, b = _signed_starts(c, self.lo, epsilon), _signed_starts(-c, self.neg_hi, epsilon)
-        return (b, a) if self.flip else (a, b)
+    def d_moduli(self, c: np.ndarray, cap: int) -> tuple[float, ...]:
+        """Per side, the nearest candidate's largest distance from cap on."""
+        return tuple(max(float((s * c).min() - ext[cap]), 0.0) for s, ext in self.forms)
+
+    def starts(self, c: np.ndarray, side: int, epsilon: float) -> np.ndarray:
+        return _signed_starts(self.forms[side][0] * c, self.forms[side][1], epsilon)
+
+    def row(self, c: np.ndarray, i: int, side: int, start: int) -> np.ndarray:
+        s = self.forms[side][0]  # s * (c - x) is exactly s * c - s * x
+        return np.maximum(s * (c[i] - self.own[start:]), 0.0)
 
 
 def _signed_starts(c: np.ndarray, lo: np.ndarray, epsilon: float) -> np.ndarray:
@@ -177,43 +194,31 @@ class CauchyVerdict:
         out = {"epsilon": self.epsilon, "horizon": self.horizon, "n0": self.n0}
         for name in ("left_d", "left_K", "right_d", "right_K", "d_s"):
             f = self.flag(name)
-            out[name] = {
-                "holds": f.holds,
-                "witness": None if f.witness is None else list(f.witness),
-            }
+            out[name] = {"holds": f.holds, "witness": None if f.witness is None else list(f.witness)}
         return out
 
 
-def _tail_starts(bad: np.ndarray) -> np.ndarray:
-    """Per row of a boolean array, one past its last True (0 if none):
-    the smallest start from which the row stays good."""
-    n = bad.shape[-1]
-    return np.where(bad.any(axis=-1), n - np.argmax(bad[..., ::-1], axis=-1), 0)
-
-
-def _k_flag(seq: SequenceWindow, notion: str, epsilon: float, cap: int):
-    """(flag, minimal start or None).  A failing flag's witness is the first
-    row-major violation (k, n) with k >= cap, which refutes every start."""
-    bad = seq._profile.k[notion] >= epsilon
-    n0 = int(_tail_starts(bad))
-    if n0 <= cap:
-        return CauchyFlag(True), n0
-    k = cap + int(np.argmax(bad[cap:]))
+def _k_flag(seq: SequenceWindow, notion: str, epsilon: float, cap: int) -> CauchyFlag:
+    """A failing flag's witness is the first row-major violation (k, n)
+    with k >= cap, which refutes every start."""
+    critical, prefix, _ = seq._k_moduli[notion]
+    if epsilon > critical:
+        return CauchyFlag(True)
+    k = cap + int(np.searchsorted(prefix, epsilon))  # the first worst[k] >= epsilon
     sides = {"left_K": (0,), "right_K": (1,), "d_s": (0, 1)}[notion]
-    row = np.max([seq._witness_row(seq.points[k], k, side) for side in sides], axis=0)
-    n = k + int(np.argmax(row >= epsilon))
-    return CauchyFlag(False, (k, n)), None
+    p = seq._profile
+    row = reduce(np.maximum, (p.row(p.own, p.at[k], side, k) for side in sides))
+    return CauchyFlag(False, (k, k + int(np.argmax(row >= epsilon))))
 
 
-def _d_flag(seq: SequenceWindow, candidates, starts: np.ndarray, side: int,
-            epsilon: float, cap: int) -> CauchyFlag:
+def _d_flag(profile, rows, side: int, critical: float, epsilon: float, cap: int) -> CauchyFlag:
     """Does some candidate stay under epsilon from a start <= cap on?  side
     0 reads d(c, x_n), 1 d(x_n, c).  A failing flag's witness is the first
     best candidate with its first violation at or past the cap."""
-    best = int(np.argmin(starts))
-    if starts[best] <= cap:
+    if epsilon > critical:
         return CauchyFlag(True)
-    row = seq._witness_row(candidates[best], cap, side)
+    best = int(np.argmin(profile.starts(rows, side, epsilon)))
+    row = profile.row(rows, best, side, cap)
     return CauchyFlag(False, (best, cap + int(np.argmax(row >= epsilon))))
 
 
@@ -226,6 +231,17 @@ def default_candidates(seq: SequenceWindow) -> list[Point]:
     return list(dict.fromkeys(list(seq.points) + list(extra)))
 
 
+def cauchy_moduli(seq: SequenceWindow) -> Mapping[str, float]:
+    """Per flag, with the default candidates, its critical epsilon: the
+    flag holds at epsilon exactly when epsilon > the critical value.  A
+    read-only view of what the window caches for :func:`classify_cauchy`."""
+    if len(seq) < 2:
+        raise ValueError("classification needs a horizon of at least 2")
+    left_d, right_d = seq._default_rows[1]
+    k = {notion: moduli[0] for notion, moduli in seq._k_moduli.items()}
+    return MappingProxyType({"left_d": left_d, "right_d": right_d, **k})
+
+
 def classify_cauchy(
     seq: SequenceWindow,
     epsilon: float,
@@ -236,24 +252,22 @@ def classify_cauchy(
     Failing flags carry a refuting witness valid for every admissible
     start index.  The verdict's n0 is the minimal left-K start.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     if len(seq) < 2:
         raise ValueError("classification needs a horizon of at least 2")
-    n = len(seq)
-    cap = n // 2
+    n, cap, profile = len(seq), len(seq) // 2, seq._profile
     if candidates is None:
-        (candidates, rows), covered = seq._default_rows, True
+        (rows, d_moduli), covered = seq._default_rows, True
     else:
         candidates = list(candidates)
-        rows, covered = seq._profile.rows(candidates), set(seq.points).issubset(candidates)
-    left_d, right_d = (
-        _d_flag(seq, candidates, starts, side, epsilon, cap)
-        for side, starts in enumerate(seq._profile.starts(rows, epsilon))
-    )
-    (left_K, n0), (right_K, _), (d_s, _) = (
-        _k_flag(seq, notion, epsilon, cap) for notion in ("left_K", "right_K", "d_s")
-    )
+        rows, covered = profile.rows(candidates), set(seq.points).issubset(candidates)
+        d_moduli = profile.d_moduli(rows, cap)
+    left_d, right_d = (_d_flag(profile, rows, side, critical, epsilon, cap)
+                       for side, critical in enumerate(d_moduli))
+    left_K, right_K, d_s = (_k_flag(seq, notion, epsilon, cap)
+                            for notion in ("left_K", "right_K", "d_s"))
+    n0 = n - int(np.searchsorted(seq._k_moduli["left_K"][2], epsilon)) if left_K.holds else None
     verdict = CauchyVerdict(left_d, left_K, right_d, right_K, d_s, float(epsilon), n, n0, covered)
     broken = _broken_implications(verdict)
     if broken:
@@ -264,22 +278,14 @@ def classify_cauchy(
 
 # (stronger, weaker): the first flag implies the second, d_s => K on any
 # window, K => d when the window's points are among the candidates
-IMPLICATIONS = (
-    ("d_s", "left_K"),
-    ("d_s", "right_K"),
-    ("left_K", "left_d"),
-    ("right_K", "right_d"),
-)
+IMPLICATIONS = (("d_s", "left_K"), ("d_s", "right_K"), ("left_K", "left_d"), ("right_K", "right_d"))
 
 
 def _broken_implications(v: CauchyVerdict) -> list[str]:
     # K implies d only through the window's own points as candidate limits
     implications = IMPLICATIONS if v.covered else IMPLICATIONS[:2]
-    return [
-        f"{a} holds but {b} fails"
-        for a, b in implications
-        if v.flag(a).holds and not v.flag(b).holds
-    ]
+    return [f"{a} holds but {b} fails" for a, b in implications
+            if v.flag(a).holds and not v.flag(b).holds]
 
 
 EPSILON_LADDER = (0.1, 0.01, 0.001)
@@ -290,14 +296,10 @@ def classify_ladder(
     epsilons: Sequence[float] = EPSILON_LADDER,
     candidates: Optional[Sequence[Point]] = None,
 ) -> dict:
-    """Classification across a ladder of scales, as one JSON-able report.
-
-    Shows how stable the verdict is as epsilon tightens.
-    """
-    return {
-        repr(float(eps)): classify_cauchy(seq, eps, candidates).as_dict()
-        for eps in epsilons
-    }
+    """Classification across a ladder of scales, as one JSON-able report:
+    how stable the verdict is as epsilon tightens."""
+    return {repr(float(eps)): classify_cauchy(seq, eps, candidates).as_dict()
+            for eps in epsilons}
 
 
 def detect_limit(
@@ -316,12 +318,14 @@ def detect_limit(
     """
     if mode not in ("left", "right", "symmetric"):
         raise ValueError(f"unknown limit mode {mode!r}")
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
     cands = list(candidates)
     if not cands:
         raise ValueError("candidate list must be nonempty")
-    cap = len(seq) // 2
-    left, right = seq._profile.starts(seq._profile.rows(cands), tol)
-    starts = {"left": left, "right": right, "symmetric": np.maximum(left, right)}[mode]
+    cap, profile = len(seq) // 2, seq._profile
+    rows, sides = profile.rows(cands), {"left": (0,), "right": (1,), "symmetric": (0, 1)}[mode]
+    starts = reduce(np.maximum, (profile.starts(rows, side, tol) for side in sides))
     ok = starts <= cap
     if not ok.any():
         return None
@@ -358,13 +362,8 @@ def check_implication_chain(
     out = [f"base: {s}" for s in _broken_implications(verdict)]
     out += [f"conjugate: {s}" for s in _broken_implications(conjugate_verdict)]
 
-    duals = [
-        ("left_K", "right_K"),
-        ("right_K", "left_K"),
-        ("left_d", "right_d"),
-        ("right_d", "left_d"),
-        ("d_s", "d_s"),
-    ]
+    duals = (("left_K", "right_K"), ("right_K", "left_K"), ("left_d", "right_d"),
+             ("right_d", "left_d"), ("d_s", "d_s"))
     for here, there in duals:
         if verdict.flag(here).holds != conjugate_verdict.flag(there).holds:
             out.append(f"duality broken: {here}(d) != {there}(d^-1)")

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from qpfix import catalog
 from qpfix.oracle import random_chain_selfmap, random_finite_space, random_isotone_coupled, random_phi_table
@@ -144,6 +145,16 @@ def test_constant_map_continuity(unit_space):
     ]
     for mode in ("left", "right", "symmetric"):
         assert check_sequential_continuity(unit_space, const, probes, mode=mode).passed
+
+
+def test_continuity_rejects_a_nan_or_non_positive_tol(unit_space):
+    # the image of 0.6, 0.4, ... never settles on 0.5; a NaN tol once passed it
+    probes = [Probe((0.6, 0.4) * 10, 0.5)]
+    identity = catalog.get_map("identity")
+    assert not check_sequential_continuity(unit_space, identity, probes, tol=0.05).passed
+    for tol in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check_sequential_continuity(unit_space, identity, probes, tol=tol)
 
 
 def test_probe_without_limit_is_skipped(unit_space):

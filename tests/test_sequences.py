@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from qpfix.sequences import (
     CauchyFlag,
     CauchyVerdict,
     SequenceWindow,
-    _tail_starts,
+    cauchy_moduli,
     check_implication_chain,
     classify_cauchy,
     classify_ladder,
@@ -95,6 +98,24 @@ def brute_limit(points, candidates, dist, tol, cap):
 #    reference ----------------------------------------------------------------
 
 
+def distance_matrix(seq):
+    """Pairwise d(x_k, x_n) over the window (N x N)."""
+    return seq.space.pairwise(list(seq.points))
+
+
+def candidate_distances(seq, candidates):
+    """(d(c, x_n), d(x_n, c)) matrices for a candidate list."""
+    pts = list(seq.points)
+    return seq.space.cross(candidates, pts), seq.space.cross(pts, candidates).T
+
+
+def _tail_starts(bad: np.ndarray) -> np.ndarray:
+    """Per row of a boolean array, one past its last True (0 if none):
+    the smallest start from which the row stays good."""
+    n = bad.shape[-1]
+    return np.where(bad.any(axis=-1), n - np.argmax(bad[..., ::-1], axis=-1), 0)
+
+
 def _matrix_k_profile(dmat: np.ndarray) -> dict:
     """Per K notion, worst[k]: the largest distance of row k from n = k
     on.  A start n0 works iff worst[k] < epsilon for every k >= n0, so
@@ -138,8 +159,8 @@ def matrix_classify(seq, epsilon, candidates=None):
     cap = n // 2
     if candidates is None:
         candidates = default_candidates(seq)
-    to_seq, from_seq = seq.candidate_distances(list(candidates))
-    dmat = seq.distance_matrix()
+    to_seq, from_seq = candidate_distances(seq, list(candidates))
+    dmat = distance_matrix(seq)
     profile = _matrix_k_profile(dmat)
     (left_K, n0), (right_K, _), (d_s, _) = (
         _matrix_k_flag(dmat, profile, notion, epsilon, cap)
@@ -165,13 +186,27 @@ def matrix_detect_limit(seq, cands, mode, tol):
     elif mode == "right":
         dm = seq.space.cross(pts, cands).T
     else:
-        dm = np.maximum(*seq.candidate_distances(cands))
+        dm = np.maximum(*candidate_distances(seq, cands))
     starts = _tail_starts(dm >= tol)
     ok = starts <= cap
     if not ok.any():
         return None
     ci = int(np.argmax(ok))
     return cands[ci], int(starts[ci])
+
+
+def matrix_moduli(seq):
+    """Per flag, the critical epsilon read off the full matrices: the K
+    flags' largest distance over cap <= k <= n, the d flags' least over
+    the default candidates of the largest distance from cap on."""
+    cap = len(seq) // 2
+    dmat = distance_matrix(seq)[cap:, cap:]
+    upper = np.triu(np.ones(dmat.shape, dtype=bool))
+    left, right = (float(np.where(upper, m, -np.inf).max()) for m in (dmat, dmat.T))
+    to_seq, from_seq = candidate_distances(seq, default_candidates(seq))
+    left_d, right_d = (float(m[:, cap:].max(axis=1).min()) for m in (to_seq, from_seq))
+    return {"left_d": left_d, "left_K": left, "right_d": right_d, "right_K": right,
+            "d_s": max(left, right)}
 
 
 def _skew(x, y):  # an untagged quasi-metric: the generic kernel on an interval
@@ -216,7 +251,7 @@ def _windows(draw):
 @settings(max_examples=300, deadline=None)
 def test_kernels_match_the_matrix_path(drawn, data):
     seq, pool = drawn
-    dmat = seq.distance_matrix()
+    dmat = distance_matrix(seq)
     # epsilons from the window's own distances, so that ties are hit
     own = sorted({float(v) for v in dmat.ravel() if v > 0}) or [0.1]
     eps = data.draw(st.sampled_from(own) | st.sampled_from((0.05, 0.1, 0.5)))
@@ -237,6 +272,57 @@ def test_kernels_match_the_matrix_path(drawn, data):
     assert max(cells, default=0) <= max(unique, n_cands) * len(seq)
     for mode in ("left", "right", "symmetric"):
         assert detect_limit(seq, pool, mode, eps) == matrix_detect_limit(seq, pool, mode, eps)
+
+
+FLAGS = ("left_d", "left_K", "right_d", "right_K", "d_s")
+
+
+@given(_windows(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_each_flag_holds_exactly_above_its_critical_epsilon(drawn, data):
+    seq, _ = drawn
+    for window in (seq, SequenceWindow(seq.points, seq.space.conjugate())):
+        moduli = cauchy_moduli(window)
+        assert dict(moduli) == matrix_moduli(window)
+        # epsilons from the window's own distances, the critical values among
+        # them, so that ties are hit
+        own = sorted({float(v) for v in distance_matrix(window).ravel() if v > 0})
+        eps = data.draw(st.sampled_from(own or [0.1]) | st.sampled_from((0.05, 0.1, 0.5)))
+        verdict = classify_cauchy(window, eps)
+        for name in FLAGS:
+            assert verdict.flag(name).holds == (eps > moduli[name])
+    with pytest.raises(TypeError):
+        moduli["left_K"] = 0.0  # a read-only view
+
+
+def _classify_and_watch(seq):
+    """Weak references to a classified window, its profile and every array
+    of its critical-epsilon cache, once the window itself is dropped."""
+    classify_ladder(seq)
+    detect_limit(seq, default_candidates(seq), "symmetric")
+    cauchy_moduli(seq)
+    rows, _ = seq._default_rows
+    arrays = [a for _, prefix, suffix in seq._k_moduli.values() for a in (prefix, suffix)]
+    arrays += list(rows) if isinstance(rows, tuple) else [rows]
+    return [weakref.ref(o) for o in (seq, seq._profile, *arrays)]
+
+
+def test_a_classified_window_is_freed_by_reference_counting(unit_space):
+    # a cache pointing back at its window would make a cycle that only the
+    # cyclic collector frees, and windows would pile up between collections
+    rng = np.random.default_rng(3)
+    finite = random_finite_space(rng, 5)
+    windows = (lambda: SequenceWindow(tuple(rng.uniform(0.0, 1.0, 60).tolist()), unit_space),
+               lambda: SequenceWindow(tuple(rng.integers(0, 5, 60).tolist()), finite))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in windows:
+            refs = _classify_and_watch(make())
+            assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_signed_starts_are_exact_where_the_float_guess_misses():
@@ -330,7 +416,7 @@ def test_classifier_matches_brute_force_on_random_windows():
                 want = None if flag.holds else brute_d_witness(pts, uniq, dist, eps, cap)
                 assert flag.witness == want
             # the kernel's d starts, minimised over candidate rows
-            to_seq, from_seq = seq.candidate_distances(uniq)
+            to_seq, from_seq = candidate_distances(seq, uniq)
             for rows, dist in ((to_seq, d), (from_seq, rd)):
                 start = int(_tail_starts(rows >= eps).min())
                 want = brute_d_start(pts, uniq, dist, eps, cap)
@@ -347,6 +433,29 @@ def test_classify_argument_errors(unit_space):
         classify_cauchy(seq, 0.0)
     with pytest.raises(ValueError):
         classify_cauchy(SequenceWindow((0.1,), unit_space), 0.1)
+    with pytest.raises(ValueError, match="horizon of at least 2"):
+        cauchy_moduli(SequenceWindow((0.1,), unit_space))
+
+
+def test_nan_or_non_positive_epsilon_is_rejected():
+    # on an oscillating window a NaN epsilon once made every flag hold, n0 = 0
+    space = catalog.get_space("upper_interval", lo=-1.0, hi=1.0)
+    seq = SequenceWindow(tuple(float((-1) ** k) for k in range(40)), space)
+    for eps in (float("nan"), 0.0, -0.5, float("-inf")):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            classify_cauchy(seq, eps)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            classify_ladder(seq, (0.1, eps))
+
+
+def test_nan_or_non_positive_tol_is_rejected(unit_space):
+    # alternating 0.6/0.4 settles on no limit; a NaN tol once found 0.5 at 0
+    seq = SequenceWindow((0.6, 0.4) * 10, unit_space)
+    for mode in ("left", "right", "symmetric"):
+        assert detect_limit(seq, [0.5], mode, tol=0.05) is None
+        for tol in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                detect_limit(seq, [0.5], mode, tol=tol)
 
 
 def test_explicit_candidates_without_the_window_points_are_not_a_bug(unit_space):
@@ -368,7 +477,7 @@ def test_explicit_candidates_without_the_window_points_are_not_a_bug(unit_space)
 
 def test_d_s_implies_k_is_checked_for_any_candidates(unit_space, monkeypatch):
     def planted(seq, notion, epsilon, cap):  # d_s holds, the K flags fail
-        return (CauchyFlag(True), 0) if notion == "d_s" else (CauchyFlag(False, (0, 0)), None)
+        return CauchyFlag(True) if notion == "d_s" else CauchyFlag(False, (0, 0))
 
     monkeypatch.setattr(sequences, "_k_flag", planted)
     seq = SequenceWindow((0.5,) * 4, unit_space)
