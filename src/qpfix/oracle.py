@@ -20,9 +20,9 @@ from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq, relatio
 from .solvers import (
     SolverConfig,
     SolverReport,
+    _prepare,
     _unique_names,
     couple_iterate,  # noqa: F401 -- bench/test_bench.py reads qpfix.oracle.couple_iterate
-    run_scheme,
     scheme_for,
     scheme_phases,
 )
@@ -253,10 +253,6 @@ def random_chain_selfmap(
 SolverFn = Callable[[PreorderCtx, CoupledMap, Sequence[SelfMap], tuple, SolverConfig], SolverReport]
 
 
-def _default_solver(ctx, coupled, maps, seed, cfg) -> SolverReport:
-    return run_scheme(scheme_for(len(maps)), ctx, coupled, maps, seed, cfg)
-
-
 @dataclass
 class AgreementReport:
     scheme: str
@@ -369,7 +365,12 @@ def oracle_vs_solver(
     else:
         target = set(oracle.d2)
 
-    run = solver_fn if solver_fn is not None else _default_solver
+    # without a solver_fn, every seed runs through one prepared instance,
+    # which calls each map once per distinct argument
+    if solver_fn is None:
+        run = _prepare(scheme, ctx, coupled, maps, cfg)
+    else:
+        run = lambda seed: solver_fn(ctx, coupled, maps, seed, cfg)
     # the admissible seeds, as a gather on the relation matrix:
     # below[x, y] = x related to F(x, y) in the iteration's direction
     rel = relation_matrix(ctx, space.points())
@@ -392,7 +393,7 @@ def oracle_vs_solver(
     disagreements = []
     converged = 0
     for seed in seeds:
-        report = run(ctx, coupled, maps, seed, cfg)
+        report = run(seed)
         fate = _fate(step, cycle, target, seed)
         if report.status == "converged":
             converged += 1

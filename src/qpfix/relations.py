@@ -212,6 +212,11 @@ def check_sequential_continuity(
     evidence of continuity, never proof; a fail is a concrete witness of
     discontinuity.
     """
+    # checked here too, since detect_limit never sees them when every probe is skipped
+    if mode not in ("left", "right", "symmetric"):
+        raise ValueError(f"unknown limit mode {mode!r}")
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
     results = []
     for probe in probes:
         if isinstance(mapping, CoupledMap):

@@ -261,6 +261,8 @@ def classify_cauchy(
         (rows, d_moduli), covered = seq._default_rows, True
     else:
         candidates = list(candidates)
+        if not candidates:
+            raise ValueError("candidate list must be nonempty")
         rows, covered = profile.rows(candidates), set(seq.points).issubset(candidates)
         d_moduli = profile.d_moduli(rows, cap)
     left_d, right_d = (_d_flag(profile, rows, side, critical, epsilon, cap)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, directed_leq
 from .relations import relate_pair_left, relate_pair_right
@@ -166,21 +166,16 @@ def _unique_names(maps: Sequence[SelfMap]) -> list[str]:
     return names
 
 
-def _residuals(space: QPSpace, coupled: CoupledMap, named_maps, x: Point, y: Point):
+def _residuals(space: QPSpace, images, x: Point, y: Point):
     """Per-map residuals of the fixed-point equations at (x, y), under
-    d, its conjugate, and the sup metric."""
+    d, its conjugate, and the sup metric.  images yields each map's name
+    with its images of x and y, already checked against the carrier."""
+    dist = space.dist_fn
     res_d, res_dinv, res_ds = {}, {}, {}
-
-    def put(name, pairs):
-        fw = max(space.dist(a, b) for a, b in pairs)
-        bw = max(space.dist(b, a) for a, b in pairs)
-        res_d[name] = fw
-        res_dinv[name] = bw
-        res_ds[name] = max(fw, bw)
-
-    put(coupled.name, [(coupled(x, y), x), (coupled(y, x), y)])
-    for name, m in named_maps:
-        put(name, [(m(x), x), (m(y), y)])
+    for name, fx, fy in images:
+        fw = max(float(dist(fx, x)), float(dist(fy, y)))
+        bw = max(float(dist(x, fx)), float(dist(y, fy)))
+        res_d[name], res_dinv[name], res_ds[name] = fw, bw, max(fw, bw)
     return res_d, res_dinv, res_ds
 
 
@@ -211,6 +206,219 @@ def scheme_phases(scheme: str, maps: Sequence[SelfMap]) -> tuple[list, dict]:
     return labels[:0:-1] + ["F"] + labels[:1], dict(zip(labels, maps))
 
 
+def _prepare(
+    scheme: str,
+    ctx: PreorderCtx,
+    coupled: CoupledMap,
+    selfmaps: Sequence[SelfMap],
+    cfg: SolverConfig,
+    strict_seed: bool = False,
+) -> Callable[[tuple], SolverReport]:
+    """The part of a run that depends only on the instance, built once;
+    returns the function that runs one seed.  On a finite carrier its runs
+    share each map image (checked against the carrier when first produced),
+    phi value and residual table, keyed on the points and their types.  An
+    escaping image is never remembered."""
+    cycle, phase_maps = scheme_phases(scheme, selfmaps)
+    if cfg.metric_mode is None:  # run the context's mode, and report it
+        cfg = replace(cfg, metric_mode=ctx.metric_mode)
+    ectx = ctx if ctx.metric_mode == cfg.metric_mode else replace(ctx, metric_mode=cfg.metric_mode)
+    space = ectx.space
+    dist, require = space.dist_fn, space.require
+    names = _unique_names(selfmaps)
+    named = list(zip(names, selfmaps))
+    labelled = [(coupled.name, "F")] + list(zip(names, phase_maps))
+    # On a finite carrier the run is a deterministic map on the round-start
+    # state (x, y, stall), so a repeated state proves that it cycles
+    # forever.  Round 0 is left out when nothing has checked the link
+    # from the seed to its first image, since a later pass would check it.
+    first_link_checked = not cfg.verify_hypotheses or cycle[0] == "F" or strict_seed
+    images, phis, tables = {}, {}, {}
+
+    def raw(label: str, a: Point, b: Point) -> Point:  # label's map at a, or F at (a, b)
+        return coupled(a, b) if label == "F" else phase_maps[label](a)
+
+    def image(label, a, b):
+        key = (label, a, type(a), b, type(b)) if label == "F" else (label, a, type(a))
+        got = images.get(key)
+        if got is None:
+            got = images[key] = require(raw(label, a, b))
+        return got
+
+    def phi(p):
+        key = (p, type(p))
+        got = phis.get(key)
+        if got is None:
+            got = phis[key] = ectx.phi(p)
+        return got
+
+    def residuals_of(px, py):
+        return _residuals(space, [(name, image(label, px, py), image(label, py, px))
+                                  for name, label in labelled], px, py)
+
+    def residuals_at(px, py):
+        key = (px, type(px), py, type(py))
+        got = tables.get(key)
+        if got is None:
+            got = tables[key] = residuals_of(px, py)
+        return got
+
+    # an interval's points seldom repeat, and 0.0 and -0.0 would share a key
+    if not space.is_finite:
+        image, phi = (lambda label, a, b: require(raw(label, a, b))), ectx.phi
+        residuals_at = residuals_of
+
+    def run(seed: tuple) -> SolverReport:
+        x, y = seed
+        require(x)
+        require(y)
+        rows = [TraceRow(0, x, y, phi(x), phi(y), 0.0, 0.0, "seed")]
+        status: Optional[str] = None
+        violation: Optional[SolverViolation] = None
+        n = 0
+        stall = 0
+        final_steps_set = False
+
+        def fail(cond, witness, map_name=None, detail=""):
+            nonlocal status, violation
+            status = "hypothesis_violated"
+            violation = SolverViolation(cond, n, witness, map_name, detail)
+
+        def residual_pass(px, py):
+            nonlocal residuals
+            residuals = residuals_at(px, py)
+            return max(residuals[2].values()) <= cfg.tol
+
+        def escape(exc, index, witness, map_name=None):
+            nonlocal status, violation
+            status = "domain_escape"
+            violation = SolverViolation("domain", index, witness, map_name, str(exc))
+
+        seen = {} if space.is_finite else None
+        cycle_at = None
+        residuals = ({}, {}, {})
+        try:
+            if cfg.verify_hypotheses:
+                # the seed hypothesis ties the seed to F, so it binds only when F
+                # comes first in the cycle
+                if cycle[0] == "F":
+                    if not admissible_seed(ectx, coupled, x, y, cfg.direction):
+                        fail("seed", (x, y), detail="starting pair is not below its image")
+                elif strict_seed:
+                    nx, ny = raw(cycle[0], x, y), raw(cycle[0], y, x)
+                    if not (directed_leq(ectx, cfg.direction, x, nx)
+                            and directed_leq(ectx, cfg.direction, y, ny)):
+                        fail("seed", (x, y), map_name=cycle[0],
+                             detail="strict mode: starting pair is not below its first image")
+
+            while status is None:
+                if seen is not None and (n or first_link_checked):
+                    start = seen.setdefault((x, y, stall), n)
+                    if start != n:
+                        status = "periodic"
+                        cycle_at = (start, n - start)
+                        break
+                if cfg.verify_hypotheses:
+                    for name, m in named:
+                        v = relate_pair_left(ectx, coupled, m, x, y) if cfg.direction == "forward" \
+                            else relate_pair_right(ectx, coupled, m, x, y)
+                        if v is not None:
+                            fail(v.condition, v.pair, map_name=name,
+                                 detail=f"part {v.part}: {v.lhs!r} not below {v.rhs!r}")
+                            break
+                    if status is not None:
+                        break
+
+                # probe one full cycle, checking and measuring each image once;
+                # an exactly stationary cycle converges now
+                probe = []
+                px, py = x, y
+                stationary = True
+                for label in cycle:
+                    try:
+                        nx, ny = image(label, px, py), image(label, py, px)
+                    except DomainError as exc:
+                        witness = (px, raw(label, px, py), py, raw(label, py, px))
+                        escape(exc, n + len(probe) + 1, witness, label)
+                        break
+                    step_x, back_x = float(dist(px, nx)), float(dist(nx, px))
+                    step_y, back_y = float(dist(py, ny)), float(dist(ny, py))
+                    sup_x, sup_y = max(step_x, back_x), max(step_y, back_y)
+                    if sup_x != 0.0 or sup_y != 0.0:
+                        stationary = False
+                    probe.append((label, nx, ny, step_x, step_y, sup_x + sup_y))
+                    px, py = nx, ny
+                if status is not None:
+                    break
+                if stationary and residual_pass(x, y):
+                    rows[-1].step_x = 0.0
+                    rows[-1].step_y = 0.0
+                    final_steps_set = True
+                    status = "converged"
+                    break
+
+                for label, nx, ny, step_x, step_y, sstep in probe:
+                    rows[-1].step_x = step_x
+                    rows[-1].step_y = step_y
+                    n += 1
+                    rows.append(TraceRow(n, nx, ny, phi(nx), phi(ny), 0.0, 0.0, label))
+                    prev_x, prev_y = x, y
+                    x, y = nx, ny
+                    if cfg.verify_hypotheses and n >= 2:
+                        if not (directed_leq(ectx, cfg.direction, prev_x, x)
+                                and directed_leq(ectx, cfg.direction, prev_y, y)):
+                            fail("chain", (prev_x, x, prev_y, y),
+                                 detail="trace broke the order chain")
+                            break
+                        if not (_phi_ok(phi, cfg.direction, ectx.slack, prev_x, x)
+                                and _phi_ok(phi, cfg.direction, ectx.slack, prev_y, y)):
+                            fail("phi_monotone", (prev_x, x, prev_y, y),
+                                 detail="phi moved the wrong way beyond slack")
+                            break
+                    stall = stall + 1 if sstep < cfg.tol else 0
+                    if stall >= cfg.stall_window:
+                        if residual_pass(x, y):
+                            status = "converged"
+                            break
+                        stall = 0
+                    if n >= cfg.max_iter:
+                        status = "max_iter"
+                        break
+
+            if status != "domain_escape":
+                if not final_steps_set:
+                    # fill the final row's forward step with one lookahead evaluation
+                    label = cycle[n % len(cycle)]
+                    rows[-1].step_x = float(dist(x, image(label, x, y)))
+                    rows[-1].step_y = float(dist(y, image(label, y, x)))
+                if status != "converged":  # a converged run has just computed them here
+                    residuals = residuals_at(x, y)
+        except DomainError as exc:  # an image checked outside the probe left the carrier
+            residuals = ({}, {}, {})
+            # a hypothesis violation or a cycle found earlier stays the reported outcome
+            if status in (None, "max_iter"):
+                escape(exc, n, (x, y))
+
+        # copies, since the runs of one instance share the memoised tables
+        res_d, res_dinv, res_ds = ({}, {}, {}) if status == "domain_escape" else map(dict, residuals)
+        return SolverReport(
+            status=status,
+            scheme=scheme,
+            candidate=(x, y) if status == "converged" else None,
+            residual_d=res_d,
+            residual_dinv=res_dinv,
+            residual_ds=res_ds,
+            iterations=n,
+            trace=IterationTrace(rows, scheme),
+            config=cfg,
+            violation=violation,
+            experimental=scheme == "kmap" and len(selfmaps) >= 3,  # the paper covers K <= 2
+            cycle=cycle_at,
+        )
+
+    return run
+
+
 def _run_scheme(
     scheme: str,
     ctx: PreorderCtx,
@@ -220,173 +428,7 @@ def _run_scheme(
     cfg: SolverConfig,
     strict_seed: bool = False,
 ) -> SolverReport:
-    cycle, phase_maps = scheme_phases(scheme, selfmaps)
-    if cfg.metric_mode is None:  # run the context's mode, and report it
-        cfg = replace(cfg, metric_mode=ctx.metric_mode)
-    ectx = ctx if ctx.metric_mode == cfg.metric_mode else replace(ctx, metric_mode=cfg.metric_mode)
-    space = ectx.space
-    dist = space.dist_fn
-    phi = ectx.phi
-    x, y = seed
-    space.require(x)
-    space.require(y)
-
-    named = list(zip(_unique_names(selfmaps), selfmaps))
-    rows = [TraceRow(0, x, y, phi(x), phi(y), 0.0, 0.0, "seed")]
-    status: Optional[str] = None
-    violation: Optional[SolverViolation] = None
-    n = 0
-    stall = 0
-    final_steps_set = False
-
-    def apply_phase(label: str, px: Point, py: Point) -> tuple:
-        if label == "F":
-            return coupled(px, py), coupled(py, px)
-        m = phase_maps[label]
-        return m(px), m(py)
-
-    def fail(cond, witness, map_name=None, detail=""):
-        nonlocal status, violation
-        status = "hypothesis_violated"
-        violation = SolverViolation(cond, n, witness, map_name, detail)
-
-    def residual_pass(px, py):
-        nonlocal residuals
-        residuals = _residuals(space, coupled, named, px, py)
-        return max(residuals[2].values()) <= cfg.tol
-
-    def escape(exc, index, witness, map_name=None):
-        nonlocal status, violation
-        status = "domain_escape"
-        violation = SolverViolation("domain", index, witness, map_name, str(exc))
-
-    # On a finite carrier the run is a deterministic map on the round-start
-    # state (x, y, stall), so a repeated state proves that it cycles
-    # forever.  Round 0 is left out when nothing has checked the link
-    # from the seed to its first image, since a later pass would check it.
-    seen = {} if space.is_finite else None
-    first_link_checked = not cfg.verify_hypotheses or cycle[0] == "F" or strict_seed
-    cycle_at = None
-    residuals = ({}, {}, {})
-    try:
-        if cfg.verify_hypotheses:
-            # the seed hypothesis ties the seed to F, so it binds only when F
-            # comes first in the cycle
-            if cycle[0] == "F":
-                if not admissible_seed(ectx, coupled, x, y, cfg.direction):
-                    fail("seed", (x, y), detail="starting pair is not below its image")
-            elif strict_seed:
-                nx, ny = apply_phase(cycle[0], x, y)
-                if not (directed_leq(ectx, cfg.direction, x, nx)
-                        and directed_leq(ectx, cfg.direction, y, ny)):
-                    fail("seed", (x, y), map_name=cycle[0],
-                         detail="strict mode: starting pair is not below its first image")
-
-        while status is None:
-            if seen is not None and (n or first_link_checked):
-                start = seen.setdefault((x, y, stall), n)
-                if start != n:
-                    status = "periodic"
-                    cycle_at = (start, n - start)
-                    break
-            if cfg.verify_hypotheses:
-                for name, m in named:
-                    v = relate_pair_left(ectx, coupled, m, x, y) if cfg.direction == "forward" \
-                        else relate_pair_right(ectx, coupled, m, x, y)
-                    if v is not None:
-                        fail(v.condition, v.pair, map_name=name,
-                             detail=f"part {v.part}: {v.lhs!r} not below {v.rhs!r}")
-                        break
-                if status is not None:
-                    break
-
-            # probe one full cycle, checking and measuring each image once;
-            # an exactly stationary cycle converges now
-            probe = []
-            px, py = x, y
-            stationary = True
-            for label in cycle:
-                nx, ny = apply_phase(label, px, py)
-                try:
-                    space.require(nx)
-                    space.require(ny)
-                except DomainError as exc:
-                    escape(exc, n + len(probe) + 1, (px, nx, py, ny), label)
-                    break
-                step_x, back_x = float(dist(px, nx)), float(dist(nx, px))
-                step_y, back_y = float(dist(py, ny)), float(dist(ny, py))
-                sup_x, sup_y = max(step_x, back_x), max(step_y, back_y)
-                if sup_x != 0.0 or sup_y != 0.0:
-                    stationary = False
-                probe.append((label, nx, ny, step_x, step_y, sup_x + sup_y))
-                px, py = nx, ny
-            if status is not None:
-                break
-            if stationary and residual_pass(x, y):
-                rows[-1].step_x = 0.0
-                rows[-1].step_y = 0.0
-                final_steps_set = True
-                status = "converged"
-                break
-
-            for label, nx, ny, step_x, step_y, sstep in probe:
-                rows[-1].step_x = step_x
-                rows[-1].step_y = step_y
-                n += 1
-                rows.append(TraceRow(n, nx, ny, phi(nx), phi(ny), 0.0, 0.0, label))
-                prev_x, prev_y = x, y
-                x, y = nx, ny
-                if cfg.verify_hypotheses and n >= 2:
-                    if not (directed_leq(ectx, cfg.direction, prev_x, x)
-                            and directed_leq(ectx, cfg.direction, prev_y, y)):
-                        fail("chain", (prev_x, x, prev_y, y),
-                             detail="trace broke the order chain")
-                        break
-                    if not (_phi_ok(phi, cfg.direction, ectx.slack, prev_x, x)
-                            and _phi_ok(phi, cfg.direction, ectx.slack, prev_y, y)):
-                        fail("phi_monotone", (prev_x, x, prev_y, y),
-                             detail="phi moved the wrong way beyond slack")
-                        break
-                stall = stall + 1 if sstep < cfg.tol else 0
-                if stall >= cfg.stall_window:
-                    if residual_pass(x, y):
-                        status = "converged"
-                        break
-                    stall = 0
-                if n >= cfg.max_iter:
-                    status = "max_iter"
-                    break
-
-        if status != "domain_escape":
-            if not final_steps_set:
-                # fill the final row's forward step with one lookahead evaluation
-                label = cycle[n % len(cycle)]
-                nx, ny = apply_phase(label, x, y)
-                rows[-1].step_x = space.dist(x, nx)
-                rows[-1].step_y = space.dist(y, ny)
-            if status != "converged":  # a converged run has just computed them here
-                residuals = _residuals(space, coupled, named, x, y)
-    except DomainError as exc:  # an image checked outside the probe left the carrier
-        residuals = ({}, {}, {})
-        # a hypothesis violation or a cycle found earlier stays the reported outcome
-        if status in (None, "max_iter"):
-            escape(exc, n, (x, y))
-
-    res_d, res_dinv, res_ds = ({}, {}, {}) if status == "domain_escape" else residuals
-    return SolverReport(
-        status=status,
-        scheme=scheme,
-        candidate=(x, y) if status == "converged" else None,
-        residual_d=res_d,
-        residual_dinv=res_dinv,
-        residual_ds=res_ds,
-        iterations=n,
-        trace=IterationTrace(rows, scheme),
-        config=cfg,
-        violation=violation,
-        experimental=scheme == "kmap" and len(selfmaps) >= 3,  # the paper covers K <= 2
-        cycle=cycle_at,
-    )
+    return _prepare(scheme, ctx, coupled, selfmaps, cfg, strict_seed)(seed)
 
 
 def couple_iterate(

@@ -12,6 +12,15 @@ from qpfix.solvers import (
 )
 
 
+def _residuals_at(space, coupled, named, x, y):
+    images = [(coupled.name, coupled(x, y), coupled(y, x))]
+    images += [(name, m(x), m(y)) for name, m in named]
+    for _, fx, fy in images:
+        space.require(fx)
+        space.require(fy)
+    return _residuals(space, images, x, y)
+
+
 def mutant_pair_solver(ctx, coupled, maps, seed, cfg):
     """Pair scheme with the even/odd roles swapped: the self map goes
     first in every cycle instead of the coupled map."""
@@ -23,7 +32,7 @@ def mutant_pair_solver(ctx, coupled, maps, seed, cfg):
     n, stall, status = 0, 0, None
 
     def residual_ok(px, py):
-        _, _, ds = _residuals(space, coupled, named, px, py)
+        _, _, ds = _residuals_at(space, coupled, named, px, py)
         return max(ds.values()) <= cfg.tol
 
     while status is None:
@@ -58,7 +67,7 @@ def mutant_pair_solver(ctx, coupled, maps, seed, cfg):
             if n >= cfg.max_iter:
                 status = "max_iter"
                 break
-    rd, rdi, rds = _residuals(space, coupled, named, x, y)
+    rd, rdi, rds = _residuals_at(space, coupled, named, x, y)
     return SolverReport(
         status=status, scheme="pair",
         candidate=(x, y) if status == "converged" else None,
@@ -82,7 +91,7 @@ def mutant_never_converges(ctx, coupled, maps, seed, cfg):
         else:
             x, y = phase_maps[label](x), phase_maps[label](y)
         rows.append(TraceRow(n, x, y, phi(x), phi(y), 0.0, 0.0, label))
-    rd, rdi, rds = _residuals(ctx.space, coupled, list(zip(_unique_names(maps), maps)), x, y)
+    rd, rdi, rds = _residuals_at(ctx.space, coupled, list(zip(_unique_names(maps), maps)), x, y)
     return SolverReport(
         status="max_iter", scheme=scheme, candidate=None,
         residual_d=rd, residual_dinv=rdi, residual_ds=rds, iterations=cfg.max_iter,

@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -310,6 +311,24 @@ def test_periodic_runs_match_their_fates():
 
     report = oracle_vs_solver(space, ctx, flip, solver_fn=scrambled)
     assert [(d["kind"], d["index"]) for d in report.disagreements] == [("trace", 1)] * 4
+
+
+def test_runs_call_each_map_once_per_distinct_argument():
+    space, ctx, coupled, maps = _instance(8, 8, 2)
+    calls = Counter()
+
+    def counted(m, arity):
+        def fn(*args):
+            calls[m.name, *args] += 1
+            return m(*args)
+        return (CoupledMap if arity == 2 else SelfMap)(fn, name=m.name)
+
+    report = oracle_vs_solver(space, ctx, counted(coupled, 2), [counted(g, 1) for g in maps],
+                              SolverConfig(max_iter=200))
+    assert report.passed and report.runs >= 10
+    tabulated = 8 * 8 + 2 * 8  # the oracle's own tables call every argument once
+    assert sum(calls.values()) > tabulated  # so the runs called some maps too
+    assert max(calls.values()) <= 2  # once for the tables, at most once for all runs
 
 
 def test_tol_above_a_distance_is_rejected():

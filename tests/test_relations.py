@@ -157,6 +157,19 @@ def test_continuity_rejects_a_nan_or_non_positive_tol(unit_space):
             check_sequential_continuity(unit_space, identity, probes, tol=tol)
 
 
+def test_continuity_checks_its_arguments_when_every_probe_is_skipped(unit_space):
+    # with no probe to run, a NaN tol once passed into a report with "tol": nan
+    probes = [Probe((0.1, 0.9), None)]
+    identity = catalog.get_map("identity")
+    for tol in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check_sequential_continuity(unit_space, identity, probes, tol=tol)
+    with pytest.raises(ValueError, match="unknown limit mode"):
+        check_sequential_continuity(unit_space, identity, probes, mode="up")
+    with pytest.raises(ValueError, match="unknown limit mode"):
+        check_sequential_continuity(unit_space, identity, [], mode="up")
+
+
 def test_probe_without_limit_is_skipped(unit_space):
     probes = [Probe((0.1, 0.9, 0.1, 0.9), None)]
     report = check_sequential_continuity(unit_space, catalog.get_map("identity"), probes)

@@ -437,6 +437,21 @@ def test_classify_argument_errors(unit_space):
         cauchy_moduli(SequenceWindow((0.1,), unit_space))
 
 
+@pytest.mark.parametrize("window", [
+    SequenceWindow((0.1, 0.2, 0.3), catalog.get_space("upper_interval", lo=0.0, hi=1.0)),
+    SequenceWindow((0, 1, 0, 1), finite_space([[0, 1], [1, 0]])),
+])
+def test_an_empty_candidate_list_is_rejected(window):
+    # numpy's "zero-size array to reduction operation" once escaped here
+    with pytest.raises(ValueError, match="candidate list must be nonempty"):
+        classify_cauchy(window, 0.1, candidates=[])
+    with pytest.raises(ValueError, match="candidate list must be nonempty"):
+        classify_ladder(window, candidates=[])
+    with pytest.raises(ValueError, match="candidate list must be nonempty"):
+        detect_limit(window, [])
+    assert classify_cauchy(window, 0.1).horizon == len(window)  # the default candidates
+
+
 def test_nan_or_non_positive_epsilon_is_rejected():
     # on an oscillating window a NaN epsilon once made every flag hold, n0 = 0
     space = catalog.get_space("upper_interval", lo=-1.0, hi=1.0)
