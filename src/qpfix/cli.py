@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -93,12 +92,22 @@ def _build_space(obj: dict):
 
 
 def _number(cfg: dict, key: str, default: float) -> float:
-    try:
-        value = float(cfg.get(key, default))
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):  # JSON admits NaN and Infinity
-        raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
+    value = cfg.get(key, default)
+    # JSON admits NaN, Infinity and integers beyond any float; none passes
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+_KINDS = {bool: "true or false", int: "an integer", list: "a list"}
+
+
+def _typed(cfg: dict, key: str, default, kind: type):
+    """cfg[key], or default when absent, which JSON must give as exactly
+    that kind: nothing is coerced, and true or false is no integer."""
+    value = cfg.get(key, default)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -160,24 +169,28 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_json(payload: dict, out_dir: str, filename: str = "report.json") -> str:
+def _write_atomic(out_dir: str, filename: str, write) -> str:
+    """Have write(tmp) fill a temporary file, then rename it into place,
+    so a reader never sees a half-written file."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+    write(tmp)
     os.replace(tmp, path)
     return path
+
+
+def _write_json(payload: dict, out_dir: str, filename: str = "report.json") -> str:
+    def dump(tmp):  # streamed, so a large report is never one string in memory
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+            fh.write("\n")
+
+    return _write_atomic(out_dir, filename, dump)
 
 
 def _write_trace(trace, out_dir: str, filename: str = "trace.csv") -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, filename)
-    tmp = path + ".tmp"
-    trace.write_csv(tmp)
-    os.replace(tmp, path)
-    return path
+    return _write_atomic(out_dir, filename, trace.write_csv)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -186,17 +199,18 @@ def _write_trace(trace, out_dir: str, filename: str = "trace.csv") -> str:
 def _cmd_check_space(args) -> int:
     cfg = _load_config(
         args.config,
-        allowed={"space", "sample", "grid", "slack", "require_t0", "output_dir"},
+        allowed={"space", "sample", "slack", "require_t0", "output_dir"},
         required={"space", "output_dir"},
     )
     space = _build_space(cfg["space"])
     slack = _number(cfg, "slack", 1e-12)
+    require_t0 = _typed(cfg, "require_t0", False, bool)
     if cfg.get("sample", "default") not in ("default", "exhaustive"):
         raise ConfigError('sample must be "default" or "exhaustive"')
     pts = _sample_points(cfg, space)
     axioms = check_axioms(space, pts, slack=slack)
     t0 = check_T0(space, pts, slack=slack)
-    ok = axioms.passed and (t0.passed or not cfg.get("require_t0", False))
+    ok = axioms.passed and (t0.passed or not require_t0)
     _write_json(
         {"axioms": axioms.as_dict(), "t0": t0.as_dict(), "passed": ok},
         cfg["output_dir"],
@@ -267,7 +281,7 @@ def _cmd_solve(args) -> int:
     space = ctx.space
     maps = _build_maps(cfg["maps"])
     coupled, selfmaps = maps[0], maps[1:]
-    scheme = cfg["scheme"]
+    scheme, strict = cfg["scheme"], _typed(cfg, "strict_seed", False, bool)
     try:
         check_scheme(scheme, len(selfmaps))
     except ValueError as exc:
@@ -291,12 +305,11 @@ def _cmd_solve(args) -> int:
             seed = tuple(int(v) if space.is_finite else float(v) for v in seed_pair)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad seed_pair: {exc}")
-        if not all(space.contains(v) for v in seed):
+        if space.first_outside(seed) is not None:
             raise ConfigError(f"seed_pair {seed_pair!r} is not in the carrier of {space.name}")
     else:
         raise ConfigError('seed_pair must be [x0, y0] or "search"')
 
-    strict = bool(cfg.get("strict_seed", False))
     report = run_scheme(scheme, ctx, coupled, selfmaps, seed, solver_cfg, strict)
     _write_trace(report.trace, cfg["output_dir"])
     _write_json(report.as_dict(trace_ref="trace.csv"), cfg["output_dir"])
@@ -334,18 +347,15 @@ def _cmd_compare(args) -> int:
     if unknown:
         raise ConfigError(f"unknown campaign fields: {sorted(unknown)}")
     solver_cfg = _build_solver_cfg(cfg.get("solver")) if "solver" in cfg else None
-    try:
-        instances = int(camp.get("instances", 100))
-        min_points = int(camp.get("min_points", 2))
-        max_points = int(camp.get("max_points", 6))
-        map_counts = tuple(int(k) for k in camp.get("map_counts", (0, 1, 2)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad campaign config: {exc}")
+    instances = _typed(camp, "instances", 100, int)
+    min_points = _typed(camp, "min_points", 2, int)
+    max_points = _typed(camp, "max_points", 6, int)
+    map_counts = tuple(_typed(camp, "map_counts", [0, 1, 2], list))
     if instances < 0 or not 1 <= min_points <= max_points <= ORACLE_POINT_CAP:
         raise ConfigError("campaign needs instances >= 0 and "
                           f"1 <= min_points <= max_points <= {ORACLE_POINT_CAP}")
-    if not map_counts or min(map_counts) < 0:
-        raise ConfigError("map_counts must be a nonempty list of counts >= 0")
+    if not map_counts or any(type(k) is not int or k < 0 for k in map_counts):
+        raise ConfigError("map_counts must be a nonempty list of integers >= 0")
     try:
         report = run_agreement_campaign(
             seed=args.seed,

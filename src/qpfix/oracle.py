@@ -57,21 +57,6 @@ class OracleReport:
         }
 
 
-def _images(space: QPSpace, m, args) -> list:
-    """m at every argument tuple, each image required to be a carrier point."""
-    out = []
-    for a in args:
-        image = m(*a)
-        try:
-            space.require(image)
-        except DomainError:
-            call = f"{m.name}({', '.join(map(repr, a))})"
-            raise DomainError(
-                f"{call} = {image!r} is not in the carrier of {space.name}") from None
-        out.append(image)
-    return out
-
-
 def _tabulate(space: QPSpace, coupled: CoupledMap, maps: Sequence[SelfMap], cap: int):
     """The coupled map as an n x n int array T[x, y] = F(x, y), and each
     self map as a length-n int vector.  Raises UnsupportedError unless
@@ -82,10 +67,16 @@ def _tabulate(space: QPSpace, coupled: CoupledMap, maps: Sequence[SelfMap], cap:
     n = space.carrier.size
     if n > cap:
         raise UnsupportedError(f"carrier size {n} exceeds the cap {cap}")
-    pts = range(n)
-    table = np.array(_images(space, coupled, ((x, y) for x in pts for y in pts)), dtype=int)
-    vectors = [np.array(_images(space, m, ((x,) for x in pts)), dtype=int) for m in maps]
-    return table.reshape(n, n), vectors
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    tables = []
+    for m, args in [(coupled, pairs)] + [(g, [(x,) for x in range(n)]) for g in maps]:
+        images = [m(*a) for a in args]
+        bad = space.first_outside(images)
+        if bad is not None:
+            call = f"{m.name}({', '.join(map(repr, args[bad]))})"
+            raise DomainError(f"{call} = {images[bad]!r} is not in the carrier of {space.name}")
+        tables.append(np.array(images, dtype=int))
+    return tables[0].reshape(n, n), tables[1:]
 
 
 def _pairs(mask: np.ndarray) -> list:

@@ -162,7 +162,7 @@ class IsotoneReport:
 
 
 def _index_points(space: QPSpace, points: Iterable[Point]) -> tuple[list, np.ndarray]:
-    """The distinct points in first-seen order, each required once, and the
+    """The distinct points in first-seen order, required at once, and the
     position of every input point among them.  Points are told apart by
     type and repr, so 1 and 1.0, or 0.0 and -0.0, stay distinct and a report
     can quote the objects it was given."""
@@ -173,11 +173,10 @@ def _index_points(space: QPSpace, points: Iterable[Point]) -> tuple[list, np.nda
         key = (type(p), repr(p))
         i = index.get(key)
         if i is None:
-            space.require(p)
             i = index[key] = len(distinct)
             distinct.append(p)
         pos.append(i)
-    return distinct, np.array(pos, dtype=np.intp)
+    return space.require_all(distinct), np.array(pos, dtype=np.intp)
 
 
 # Cells of the applicability mask built at once.  Whole rows of the first
@@ -205,9 +204,7 @@ def check_isotone(
             raise ValueError(f"unknown isotone sample spec {sample!r}")
         if sample == "exhaustive" and not space.is_finite:
             raise UnsupportedError("exhaustive sampling needs a finite carrier")
-        pts = space.grid(ISOTONE_GRID_POINTS)
-        for p in pts:
-            space.require(p)
+        pts = space.require_all(space.grid(ISOTONE_GRID_POINTS))
         rel = relation_matrix(ctx, pts)
         n = len(pts)
         checked = n**4

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .spaces import _CONTAINS_EPS, Point, QPSpace
+from .spaces import Point, QPSpace
 
 
 @dataclass(frozen=True)
@@ -28,27 +28,7 @@ class SequenceWindow:
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("sequence window must be nonempty")
-        if not self._in_carrier_at_once():
-            for p in self.points:  # names the first point outside the carrier
-                self.space.require(p)
-
-    def _in_carrier_at_once(self) -> bool:
-        """One array test that passes windows of in-range integer indices
-        (finite) or of finite in-range floats (interval, with the carrier's
-        rounding grace); False sends the window through the per-point check."""
-        try:
-            arr = np.asarray(self.points)
-        except (TypeError, ValueError):  # ragged or unconvertible points
-            return False
-        if arr.ndim != 1:
-            return False
-        carrier = self.space.carrier
-        if self.space.is_finite:
-            return arr.dtype.kind == "i" and bool(((arr >= 0) & (arr < carrier.size)).all())
-        if arr.dtype.kind != "f":
-            return False
-        arr = arr.astype(np.float64, copy=False)  # compare as contains() does, in float
-        return bool(((arr >= carrier.lo - _CONTAINS_EPS) & (arr <= carrier.hi + _CONTAINS_EPS)).all())
+        self.space.require_all(self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -300,6 +280,7 @@ def classify_ladder(
 ) -> dict:
     """Classification across a ladder of scales, as one JSON-able report:
     how stable the verdict is as epsilon tightens."""
+    candidates = None if candidates is None else list(candidates)  # once, for every rung
     return {repr(float(eps)): classify_cauchy(seq, eps, candidates).as_dict()
             for eps in epsilons}
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, directed_leq
@@ -216,9 +217,7 @@ def _prepare(
 ) -> Callable[[tuple], SolverReport]:
     """The part of a run that depends only on the instance, built once;
     returns the function that runs one seed.  On a finite carrier its runs
-    share each map image (checked against the carrier when first produced),
-    phi value and residual table, keyed on the points and their types.  An
-    escaping image is never remembered."""
+    share each map image, phi value and residual table."""
     cycle, phase_maps = scheme_phases(scheme, selfmaps)
     if cfg.metric_mode is None:  # run the context's mode, and report it
         cfg = replace(cfg, metric_mode=ctx.metric_mode)
@@ -233,40 +232,25 @@ def _prepare(
     # forever.  Round 0 is left out when nothing has checked the link
     # from the seed to its first image, since a later pass would check it.
     first_link_checked = not cfg.verify_hypotheses or cycle[0] == "F" or strict_seed
-    images, phis, tables = {}, {}, {}
+    # On a finite carrier each map image (checked when produced), phi value
+    # and residual table is cached, keyed on the points and their types; a
+    # raised escape is never cached.  An interval's points seldom repeat,
+    # and 0.0 and -0.0 would share a key.
+    cache = lru_cache(maxsize=None, typed=True) if space.is_finite else (lambda f: f)
+    checked = {label: cache(lambda *args, m=m: require(m(*args)))
+               for label, m in [("F", coupled), *phase_maps.items()]}
+    phi = cache(ectx.phi)
 
     def raw(label: str, a: Point, b: Point) -> Point:  # label's map at a, or F at (a, b)
         return coupled(a, b) if label == "F" else phase_maps[label](a)
 
-    def image(label, a, b):
-        key = (label, a, type(a), b, type(b)) if label == "F" else (label, a, type(a))
-        got = images.get(key)
-        if got is None:
-            got = images[key] = require(raw(label, a, b))
-        return got
+    def image(label, a, b):  # raw, checked against the carrier
+        return checked[label](a, b) if label == "F" else checked[label](a)
 
-    def phi(p):
-        key = (p, type(p))
-        got = phis.get(key)
-        if got is None:
-            got = phis[key] = ectx.phi(p)
-        return got
-
-    def residuals_of(px, py):
+    @cache
+    def residuals_at(px, py):
         return _residuals(space, [(name, image(label, px, py), image(label, py, px))
                                   for name, label in labelled], px, py)
-
-    def residuals_at(px, py):
-        key = (px, type(px), py, type(py))
-        got = tables.get(key)
-        if got is None:
-            got = tables[key] = residuals_of(px, py)
-        return got
-
-    # an interval's points seldom repeat, and 0.0 and -0.0 would share a key
-    if not space.is_finite:
-        image, phi = (lambda label, a, b: require(raw(label, a, b))), ectx.phi
-        residuals_at = residuals_of
 
     def run(seed: tuple) -> SolverReport:
         x, y = seed
@@ -419,18 +403,6 @@ def _prepare(
     return run
 
 
-def _run_scheme(
-    scheme: str,
-    ctx: PreorderCtx,
-    coupled: CoupledMap,
-    selfmaps: Sequence[SelfMap],
-    seed: tuple,
-    cfg: SolverConfig,
-    strict_seed: bool = False,
-) -> SolverReport:
-    return _prepare(scheme, ctx, coupled, selfmaps, cfg, strict_seed)(seed)
-
-
 def couple_iterate(
     ctx: PreorderCtx, coupled: CoupledMap, seed: tuple, cfg: SolverConfig = SolverConfig()
 ) -> SolverReport:
@@ -441,7 +413,7 @@ def couple_iterate(
     isotonicity of the coupled map); any break aborts the run with
     status hypothesis_violated.
     """
-    return _run_scheme("single", ctx, coupled, [], seed, cfg)
+    return _prepare("single", ctx, coupled, [], cfg)(seed)
 
 
 def pair_iterate(
@@ -456,7 +428,7 @@ def pair_iterate(
     Hypothesis verification checks the seed inequalities and the weak
     relatedness conditions at every visited pair.
     """
-    return _run_scheme("pair", ctx, coupled, [g], seed, cfg)
+    return _prepare("pair", ctx, coupled, [g], cfg)(seed)
 
 
 def triple_iterate(
@@ -474,7 +446,7 @@ def triple_iterate(
     seed to its first image in this scheme.  Pass strict_seed=True to
     require that link as well.
     """
-    return _run_scheme("triple", ctx, coupled, [g, h], seed, cfg, strict_seed)
+    return _prepare("triple", ctx, coupled, [g, h], cfg, strict_seed)(seed)
 
 
 def kmap_round_robin(
@@ -493,7 +465,7 @@ def kmap_round_robin(
     scheme up to index bookkeeping.
     """
     gs = list(gs)
-    return _run_scheme("kmap" if gs else "single", ctx, coupled, gs, seed, cfg, strict_seed)
+    return _prepare("kmap" if gs else "single", ctx, coupled, gs, cfg, strict_seed)(seed)
 
 
 def run_scheme(
@@ -586,8 +558,7 @@ def verify_point(
     be fixed.
     """
     space = ctx.space
-    space.require(x)
-    space.require(y)
+    space.require_all((x, y))
     named = list(zip(_unique_names(maps), maps))
     fxy, fyx = coupled(x, y), coupled(y, x)
 

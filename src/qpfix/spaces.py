@@ -115,6 +115,37 @@ class QPSpace:
             raise DomainError(f"point {x!r} is not in the carrier of {self.name}")
         return x
 
+    def first_outside(self, points: Sequence[Point]) -> Optional[int]:
+        """Position of the first point that :meth:`contains` rejects, or None.
+
+        A batch of ints and numpy integers (finite carrier), or of ints,
+        floats and numpy reals (interval), is tested as one array; any
+        other batch goes point by point, so the answer is always that of a
+        loop over contains.  Bools are never finite-carrier points, though
+        numpy would read them as 0 and 1.
+        """
+        finite, c = self.is_finite, self.carrier
+        plain, numeric = ({int}, np.integer) if finite else ({int, float}, (np.integer, np.floating))
+        if all(k in plain or issubclass(k, numeric) for k in set(map(type, points))):
+            lo, hi = (0, c.size - 1) if finite else (c.lo - _CONTAINS_EPS, c.hi + _CONTAINS_EPS)
+            try:  # each point read as contains reads it, by int() or float(), never in float32
+                arr = np.fromiter(points, np.int64 if finite else np.float64, len(points))
+            except OverflowError:  # beyond int64 or float64: point by point
+                pass
+            else:
+                ok = (arr >= lo) & (arr <= hi)
+                return None if ok.all() else int(np.argmin(ok))
+        return next((i for i, p in enumerate(points) if not self.contains(p)), None)
+
+    def require_all(self, points: Iterable[Point]) -> list[Point]:
+        """The points as a list, after one batch test that agrees with
+        :meth:`require`: DomainError names the first point outside."""
+        pts = list(points)
+        bad = self.first_outside(pts)
+        if bad is not None:
+            self.require(pts[bad])  # raises, naming the point
+        return pts
+
     def points(self) -> list[Point]:
         """All carrier points; finite spaces only."""
         if not self.is_finite:
@@ -260,10 +291,7 @@ def resolve_sample(
         if sample == "default":
             return space.grid(grid)
         raise ValueError(f"unknown sample spec {sample!r}")
-    pts = list(sample)
-    for p in pts:
-        space.require(p)
-    return pts
+    return space.require_all(sample)
 
 
 @dataclass

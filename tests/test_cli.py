@@ -344,3 +344,50 @@ def test_config_error_paths(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
     # unknown subcommand
     assert main(["frobnicate", "--config", "x"]) == 2
+
+
+def test_check_space_require_t0_must_be_a_json_boolean(tmp_path, capsys):
+    # on a non-T0 space the string "false" used to read as true and exit 1;
+    # on a T0 space the value is checked all the same
+    non_t0 = {"kind": "finite", "n": 2, "matrix": [[0, 0], [0, 0]]}
+    cfg = {"schema": "1", "space": non_t0, "output_dir": str(tmp_path / "o")}
+    assert main(["check-space", "--config", _write(tmp_path / "ok.json", cfg)]) == 0
+    for space in (non_t0, {"id": "upper_interval"}):
+        for value in ("false", 0, None):
+            path = _write(tmp_path / "t.json", dict(cfg, space=space, require_t0=value))
+            assert main(["check-space", "--config", path]) == 2
+            assert "require_t0 must be true or false" in capsys.readouterr().err
+
+
+def test_solve_strict_seed_must_be_a_json_boolean(tmp_path):
+    for value in ("false", 1):
+        cfg = dict(PAIR_CONFIG, strict_seed=value, output_dir=str(tmp_path / "o"))
+        assert main(["solve", "--config", _write(tmp_path / "s.json", cfg)]) == 2
+
+
+def test_compare_campaign_counts_are_not_coerced(tmp_path, capsys):
+    # "12" used to run map counts (1, 2), and 2.7 two instances
+    for camp in ({"map_counts": "12"}, {"map_counts": [1.0]}, {"map_counts": [True]},
+                 {"instances": 2.7}, {"instances": True}, {"min_points": 2.0},
+                 {"max_points": "4"}):
+        cfg = {"schema": "1", "campaign": camp, "output_dir": str(tmp_path / "o")}
+        assert main(["compare", "--config", _write(tmp_path / "c.json", cfg), "--seed", "1"]) == 2
+        assert "must be" in capsys.readouterr().err
+    cfg = {"schema": "1", "campaign": {"instances": 2, "max_points": 3, "map_counts": [1]},
+           "output_dir": str(tmp_path / "o")}
+    assert main(["compare", "--config", _write(tmp_path / "c.json", cfg), "--seed", "1"]) == 0
+
+
+def test_check_space_rejects_the_unread_grid_field(tmp_path, capsys):
+    cfg = {"schema": "1", "space": {"id": "upper_interval"}, "grid": 5,
+           "output_dir": str(tmp_path / "o")}
+    assert main(["check-space", "--config", _write(tmp_path / "g.json", cfg)]) == 2
+    assert "unknown config fields: ['grid']" in capsys.readouterr().err
+
+
+def test_numbers_are_not_read_from_strings_or_booleans(tmp_path):
+    cfg = {"schema": "1", "space": {"id": "upper_interval"}, "output_dir": str(tmp_path / "o")}
+    for slack in ("0.5", True, 10**400):
+        path = _write(tmp_path / "n.json", dict(cfg, slack=slack))
+        assert main(["check-space", "--config", path]) == 2
+    assert main(["check-space", "--config", _write(tmp_path / "i.json", dict(cfg, slack=1))]) == 0

@@ -523,6 +523,21 @@ def test_interval_window_is_validated_in_one_pass(unit_space, monkeypatch):
         SequenceWindow(((0, 1), (1, 0)), finite)  # index pairs, not indices
 
 
+def test_finite_window_rejects_bools():
+    # numpy reads (True, 1, 0) as an int64 array, but True is no carrier point
+    two = finite_space([[0, 1], [1, 0]])
+    with pytest.raises(DomainError, match="point True is not in the carrier"):
+        SequenceWindow((True, 1, 0), two)
+    with pytest.raises(DomainError, match="point False is not in the carrier"):
+        SequenceWindow((1, np.int64(0), False), two)
+
+
+def test_ladder_takes_candidates_once(unit_space):
+    seq = SequenceWindow((0.5, 0.4, 0.5, 0.5), unit_space)
+    want = classify_ladder(seq, (0.1, 0.01), candidates=[0.5])
+    assert classify_ladder(seq, (0.1, 0.01), candidates=(c for c in [0.5])) == want
+
+
 def test_epsilon_monotonicity():
     rng = np.random.default_rng(23)
     for _ in range(20):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpfix import catalog, spaces
 from qpfix.oracle import random_finite_space
@@ -239,3 +241,48 @@ def test_sup_metric_of_t0_space_is_a_metric():
         # identity of indiscernibles off the diagonal
         off = m + np.eye(m.shape[0])
         assert (off > 0).all()
+
+
+# -- batch membership against the single-point test ----------------------------
+
+_FLOAT_EDGES = [0.0, -0.0, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, -1e-10, float("nan"), float("inf"),
+                -float("inf")]
+_FLOATS = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(_FLOAT_EDGES))
+_INTS = st.integers(-2, 4)
+_POINTS = st.one_of(
+    _INTS,
+    _INTS.map(np.int64),
+    st.integers(0, 4).map(np.uint8),
+    st.booleans(),
+    _FLOATS,
+    st.floats(-0.5, 1.5, width=32).map(np.float32),
+    st.sampled_from(["x", "0", None, (0,), (0.5,), np.True_, np.float64(2.0), 2**70]),
+)
+# uniform batches reach the one-array test, mixed ones its fallback; numpy
+# reads numbers mixed with bools as one numeric array, and ints beyond int64
+# leave the one-array test
+_BATCHES = st.one_of(*(st.lists(s, max_size=8) for s in (
+    _INTS, _INTS.map(np.int64), _FLOATS, st.floats(-0.5, 1.5, width=32).map(np.float32),
+    st.one_of(_INTS, st.booleans()), st.one_of(_FLOATS, st.just(np.True_)),
+    st.one_of(_INTS, st.sampled_from([2**64, -(2**70), np.uint64(2**63 + 5)])), _POINTS)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BATCHES, st.sampled_from(["finite", "interval"]))
+def test_batch_membership_agrees_with_contains(pts, kind):
+    space = (finite_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) if kind == "finite"
+             else catalog.get_space("upper_interval", lo=0.0, hi=1.0))
+    first = next((i for i, p in enumerate(pts) if not space.contains(p)), None)
+    assert space.first_outside(pts) == first
+    assert (first is None) == all(map(space.contains, pts))
+    if first is None:
+        got = space.require_all(iter(pts))
+        assert len(got) == len(pts) and all(a is b for a, b in zip(got, pts))
+        return
+    with pytest.raises(DomainError) as batch:
+        space.require_all(pts)
+    with pytest.raises(DomainError) as loop:
+        for p in pts:
+            space.require(p)
+    assert str(batch.value) == str(loop.value)
+
