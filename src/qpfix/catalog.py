@@ -9,6 +9,7 @@ construction and are never certified by finite testing.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Union
 
 import numpy as np
@@ -18,7 +19,7 @@ from .spaces import QPSpace, _lower_interval_space, finite_space, upper_interval
 
 
 class CatalogError(LookupError):
-    """Unknown catalog identifier."""
+    """Unknown catalog identifier, or a parameter of the wrong kind."""
 
 
 SPACE_LABELS = {
@@ -75,7 +76,7 @@ def _phi(phi_id: str, params: dict) -> PhiFn:
         bound = float(params.pop("bound", 0.0))
         return PhiFn(lambda x: -math.exp(-x), direction, bound, name="neg_exp")
     if phi_id == "table":
-        values = [float(v) for v in params.pop("values")]
+        values = _table("phi table values", params.pop("values"), integer=False)
         default = max(values) if direction == "above" else min(values)
         bound = float(params.pop("bound", default))
         return PhiFn(lambda i: values[int(i)], direction, bound, name="phi_table")
@@ -103,7 +104,11 @@ def _map(map_id: str, params: dict) -> Union[CoupledMap, SelfMap]:
     if map_id == "coupled_projection":
         return CoupledMap(lambda x, y: x, name="coupled_projection")
     if map_id == "coupled_table":
-        rows = np.asarray(params.pop("matrix"), dtype=int).tolist()
+        cells = np.asarray(params.pop("matrix"), dtype=object)  # ragged rows stay 1-d
+        if cells.ndim != 2:
+            raise CatalogError("coupled_table matrix must be a list of rows of one length")
+        flat, m = _table("coupled_table matrix", cells.ravel(), integer=True), cells.shape[1]
+        rows = [flat[i * m : (i + 1) * m] for i in range(len(cells))]
         return CoupledMap(lambda x, y: rows[int(x)][int(y)], name="coupled_table")
     if map_id == "affine_pull":
         a = float(params.pop("a", 0.5))
@@ -123,9 +128,24 @@ def _map(map_id: str, params: dict) -> Union[CoupledMap, SelfMap]:
         high = float(params.pop("high", 1.0))
         return SelfMap(lambda x: high if x >= threshold else low, name="step")
     if map_id == "table":
-        values = [int(v) for v in params.pop("values")]
+        values = _table("table values", params.pop("values"), integer=True)
         return SelfMap(lambda i: values[int(i)], name="table")
     raise CatalogError(f"unknown map id {map_id!r}")
+
+
+def _table(what: str, values, integer: bool) -> list:
+    """The entries of a catalog table, as Python ints (a map table) or
+    floats (a phi table).  Nothing is coerced: each entry must already be a
+    Python or numpy integer, or finite real number, and never a bool."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise CatalogError(f"{what} must be a list, got {values!r}")
+    out = [v.item() if isinstance(v, np.generic) else v for v in values]
+    kinds, kind = ((int,), "integers") if integer else ((int, float), "finite real numbers")
+    # abs(v) <= max also rejects NaN, infinities and integers beyond float range
+    bad = [v for v in out if type(v) not in kinds or not (integer or abs(v) <= sys.float_info.max)]
+    if bad:
+        raise CatalogError(f"{what} must be {kind}, got {bad[0]!r}")
+    return out if integer else [float(v) for v in out]
 
 
 def _reject_extra(what: str, params: dict) -> None:

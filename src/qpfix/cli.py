@@ -301,12 +301,13 @@ def _cmd_solve(args) -> int:
             )
             return 1
     elif isinstance(seed_pair, list) and len(seed_pair) == 2:
-        try:
-            seed = tuple(int(v) if space.is_finite else float(v) for v in seed_pair)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad seed_pair: {exc}")
-        if space.first_outside(seed) is not None:
+        # nothing is coerced: 0.7, "1" and true are no carrier points
+        kinds, what = ((int,), "integers") if space.is_finite else ((int, float), "numbers")
+        if any(type(v) not in kinds for v in seed_pair):
+            raise ConfigError(f"seed_pair must hold two {what}, got {seed_pair!r}")
+        if space.first_outside(seed_pair) is not None:
             raise ConfigError(f"seed_pair {seed_pair!r} is not in the carrier of {space.name}")
+        seed = tuple(seed_pair) if space.is_finite else tuple(map(float, seed_pair))
     else:
         raise ConfigError('seed_pair must be [x0, y0] or "search"')
 

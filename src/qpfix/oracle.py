@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq, relation_matrix
+from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq, oriented, relation_matrix
 from .solvers import (
     SolverConfig,
     SolverReport,
@@ -362,11 +362,8 @@ def oracle_vs_solver(
         run = _prepare(scheme, ctx, coupled, maps, cfg)
     else:
         run = lambda seed: solver_fn(ctx, coupled, maps, seed, cfg)
-    # the admissible seeds, as a gather on the relation matrix:
-    # below[x, y] = x related to F(x, y) in the iteration's direction
-    rel = relation_matrix(ctx, space.points())
-    if cfg.direction == "reverse":
-        rel = rel.T
+    # the admissible seeds, a gather: below[x, y] = x below F(x, y) in the oriented context
+    rel = relation_matrix(oriented(ctx, cfg.direction), space.points())
     below = rel[np.arange(len(table))[:, None], table]
     seeds = _pairs(below & below.T)
 

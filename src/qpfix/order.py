@@ -9,7 +9,7 @@ the sup metric in place of d) is additionally antisymmetric.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -257,18 +257,32 @@ def check_isotone(
     return IsotoneReport(counterexamples, checked, applicable)
 
 
-def directed_leq(ctx: PreorderCtx, direction: str, a: Point, b: Point) -> bool:
-    """a below b for "forward" iteration, a above b for "reverse"."""
-    return induced_leq(ctx, a, b) if direction == "forward" else induced_leq(ctx, b, a)
+def dual(ctx: PreorderCtx) -> PreorderCtx:
+    """ctx with its relation reversed, exactly (float negation is exact):
+    the conjugate space, under ctx's space name so that carrier errors read
+    the same, and the negated phi with its bound flipped (Cobzaş 2013).  On
+    a finite carrier it copies the matrix: build it once per check or run."""
+    phi = ctx.phi
+    flip = {"above": "below", "below": "above"}[phi.bound_direction]
+    negated = PhiFn(lambda p: -phi(p), flip, -phi.declared_bound, name=f"-{phi.name}")
+    return replace(ctx, space=replace(ctx.space.conjugate(), name=ctx.space.name), phi=negated)
 
 
-def admissible_seed(
-    ctx: PreorderCtx, coupled: CoupledMap, x0: Point, y0: Point, direction: str = "forward"
-) -> bool:
+def oriented(ctx: PreorderCtx, direction: str) -> PreorderCtx:
+    """The context in which a run in ``direction`` climbs: ctx for
+    "forward", :func:`dual` for "reverse"."""
+    if direction == "forward":
+        return ctx
+    if direction == "reverse":
+        return dual(ctx)
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def admissible_seed(ctx: PreorderCtx, coupled: CoupledMap, x0: Point, y0: Point) -> bool:
     """Both starting inequalities: x0 below F(x0, y0) and y0 below
-    F(y0, x0) for "forward"; both flipped for "reverse"."""
+    F(y0, x0).  A reverse run tests them on :func:`oriented`."""
     fx, fy = coupled(x0, y0), coupled(y0, x0)
-    return directed_leq(ctx, direction, x0, fx) and directed_leq(ctx, direction, y0, fy)
+    return induced_leq(ctx, x0, fx) and induced_leq(ctx, y0, fy)
 
 
 def seed_search(
@@ -277,21 +291,18 @@ def seed_search(
     candidates: Union[Sequence[Point], Sequence[tuple[Point, Point]]],
     direction: str = "forward",
 ) -> Optional[tuple[Point, Point]]:
-    """First candidate pair that is an :func:`admissible_seed`.
+    """First candidate pair that is an :func:`admissible_seed` in ``direction``.
 
     Candidates may be pairs, or single points whose row-major product is
     searched.  Absence is None, not an error.
     """
-    if direction not in ("forward", "reverse"):
-        raise ValueError(f"unknown direction {direction!r}")
+    octx = oriented(ctx, direction)
     cand = list(candidates)
     if not cand:
         raise ValueError("candidate list must be nonempty")
     if not isinstance(cand[0], (tuple, list)):
         cand = [(a, b) for a in cand for b in cand]
-    return next(
-        ((x0, y0) for x0, y0 in cand if admissible_seed(ctx, coupled, x0, y0, direction)), None
-    )
+    return next(((x0, y0) for x0, y0 in cand if admissible_seed(octx, coupled, x0, y0)), None)
 
 
 @dataclass
@@ -317,22 +328,13 @@ class BoundReport:
         }
 
 
-def check_phi_bound(
-    phi: PhiFn, sample: Sequence[Point]
-) -> BoundReport:
+def check_phi_bound(phi: PhiFn, sample: Sequence[Point]) -> BoundReport:
     """Confirm the declared bound on a sample and report the range attained."""
     pts = list(sample)
     if not pts:
         raise ValueError("sample must be nonempty")
     vals = [phi(p) for p in pts]
-    if phi.bound_direction == "above":
-        viols = [(p, v) for p, v in zip(pts, vals) if v > phi.declared_bound]
-    else:
-        viols = [(p, v) for p, v in zip(pts, vals) if v < phi.declared_bound]
-    return BoundReport(
-        phi.bound_direction,
-        phi.declared_bound,
-        max(vals),
-        min(vals),
-        viols,
-    )
+    # a bound below is the bound above of -phi; negation is exact
+    s, bound = (1.0 if phi.bound_direction == "above" else -1.0), phi.declared_bound
+    viols = [(p, v) for p, v in zip(pts, vals) if s * v > s * bound]
+    return BoundReport(phi.bound_direction, bound, max(vals), min(vals), viols)

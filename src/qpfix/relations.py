@@ -6,9 +6,12 @@ A pair {F, g} is weakly left-related when, for every (x, y):
   C1:  F(x, y) below g(F(x, y))   and   g(x) below F(g(x), g(y))
   C2:  F(y, x) below g(F(y, x))   and   g(y) below F(g(y), g(x))
 
-Weak right-relatedness (D1/D2) reverses every inequality.  These are
-universally quantified hypotheses; on interval carriers the checkers
-report grid evidence only.
+Weak right-relatedness (D1/D2) reverses every inequality, so it is C1/C2
+on ``order.dual(ctx)``, read back by :func:`mirrored` with lhs and rhs
+swapped.  A compared image outside the carrier raises DomainError naming
+the image its step produces first (F(x, y), or g(x)), on either side.
+These are universally quantified hypotheses; on interval carriers the
+checkers report grid evidence only.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .order import CoupledMap, PreorderCtx, SelfMap, induced_leq
+from .order import CoupledMap, PreorderCtx, SelfMap, dual, induced_leq
 from .sequences import SequenceWindow, detect_limit
 from .spaces import Point, QPSpace
 
@@ -63,72 +66,60 @@ class RelReport:
         }
 
 
-def pair_sample(ctx: PreorderCtx, grid: int = RELATION_GRID_POINTS):
-    pts = ctx.space.grid(grid)
-    return itertools.product(pts, repeat=2)
-
-
 def _resolve_pairs(ctx: PreorderCtx, sample) -> Iterable[tuple[Point, Point]]:
     if isinstance(sample, str):
-        if sample == "exhaustive":
-            pts = ctx.space.points()
-            return itertools.product(pts, repeat=2)
-        if sample == "grid":
-            return pair_sample(ctx)
-        raise ValueError(f"unknown pair sample spec {sample!r}")
+        if sample not in ("grid", "exhaustive"):
+            raise ValueError(f"unknown pair sample spec {sample!r}")
+        space = ctx.space
+        pts = space.points() if sample == "exhaustive" else space.grid(RELATION_GRID_POINTS)
+        return itertools.product(pts, repeat=2)
     return sample
-
-
-def _relate_pair(
-    side: str, ctx: PreorderCtx, coupled: CoupledMap, g: SelfMap, x: Point, y: Point
-) -> Optional[RelViolation]:
-    """First failing sub-condition of C1/C2 ("left") or D1/D2 ("right").
-
-    Each step yields (a, b) for the left inequality a below b; the right
-    side tests b below a.  Maps are evaluated lazily, in step order.
-    """
-    first, second = ("C1", "C2") if side == "left" else ("D1", "D2")
-
-    def steps():
-        fxy = coupled(x, y)
-        yield first, 1, fxy, g(fxy)
-        gx, gy = g(x), g(y)
-        yield first, 2, gx, coupled(gx, gy)
-        fyx = coupled(y, x)
-        yield second, 1, fyx, g(fyx)
-        yield second, 2, gy, coupled(gy, gx)
-
-    for condition, part, a, b in steps():
-        lhs, rhs = (a, b) if side == "left" else (b, a)
-        if not induced_leq(ctx, lhs, rhs):
-            return RelViolation(condition, part, (x, y), lhs, rhs)
-    return None
 
 
 def relate_pair_left(
     ctx: PreorderCtx, coupled: CoupledMap, g: SelfMap, x: Point, y: Point
 ) -> Optional[RelViolation]:
-    """C1/C2 at a single pair; first failing sub-condition, or None."""
-    return _relate_pair("left", ctx, coupled, g, x, y)
+    """C1/C2 at a single pair; first failing sub-condition, or None.
+
+    Each step tests a below b.  Maps are evaluated lazily, in step order.
+    """
+
+    def steps():
+        fxy = coupled(x, y)
+        yield "C1", 1, fxy, g(fxy)
+        gx, gy = g(x), g(y)
+        yield "C1", 2, gx, coupled(gx, gy)
+        fyx = coupled(y, x)
+        yield "C2", 1, fyx, g(fyx)
+        yield "C2", 2, gy, coupled(gy, gx)
+
+    for condition, part, a, b in steps():
+        if not induced_leq(ctx, a, b):
+            return RelViolation(condition, part, (x, y), a, b)
+    return None
+
+
+def mirrored(v: Optional[RelViolation]) -> Optional[RelViolation]:
+    """A C1/C2 violation found on dual(ctx), read back on ctx as D1/D2 of
+    the same part and pair, with lhs and rhs swapped; None stays None."""
+    return None if v is None else RelViolation("D" + v.condition[1:], v.part, v.pair, v.rhs, v.lhs)
 
 
 def relate_pair_right(
     ctx: PreorderCtx, coupled: CoupledMap, g: SelfMap, x: Point, y: Point
 ) -> Optional[RelViolation]:
-    """D1/D2 at a single pair; mirror image of the left check."""
-    return _relate_pair("right", ctx, coupled, g, x, y)
+    """D1/D2 at a single pair: C1/C2 on dual(ctx), mirrored."""
+    return mirrored(relate_pair_left(dual(ctx), coupled, g, x, y))
 
 
-def _check_weakly_related(side, ctx, coupled, g, sample) -> RelReport:
-    relate = relate_pair_left if side == "left" else relate_pair_right
-    violations = []
-    checked = 0
-    for x, y in _resolve_pairs(ctx, sample):
-        checked += 1
-        v = relate(ctx, coupled, g, x, y)
+def _left_violations(ctx: PreorderCtx, coupled, g, pairs) -> tuple[list, int]:
+    """The C1/C2 violations over pairs, and the number of pairs checked."""
+    violations, checked = [], 0
+    for checked, (x, y) in enumerate(pairs, 1):
+        v = relate_pair_left(ctx, coupled, g, x, y)
         if v is not None:
             violations.append(v)
-    return RelReport(side, violations, checked, ctx.slack)
+    return violations, checked
 
 
 def check_weakly_left_related(
@@ -137,7 +128,8 @@ def check_weakly_left_related(
     g: SelfMap,
     sample: Union[str, Iterable[tuple[Point, Point]]] = "grid",
 ) -> RelReport:
-    return _check_weakly_related("left", ctx, coupled, g, sample)
+    violations, checked = _left_violations(ctx, coupled, g, _resolve_pairs(ctx, sample))
+    return RelReport("left", violations, checked, ctx.slack)
 
 
 def check_weakly_right_related(
@@ -146,7 +138,10 @@ def check_weakly_right_related(
     g: SelfMap,
     sample: Union[str, Iterable[tuple[Point, Point]]] = "grid",
 ) -> RelReport:
-    return _check_weakly_related("right", ctx, coupled, g, sample)
+    """D1/D2 over the sample: C1/C2 on dual(ctx), built once, mirrored."""
+    pairs = _resolve_pairs(ctx, sample)
+    violations, checked = _left_violations(dual(ctx), coupled, g, pairs)
+    return RelReport("right", [mirrored(v) for v in violations], checked, ctx.slack)
 
 
 # -- sequential continuity ----------------------------------------------
@@ -219,29 +214,15 @@ def check_sequential_continuity(
         raise ValueError("tol must be positive")
     results = []
     for probe in probes:
-        if isinstance(mapping, CoupledMap):
-            px, py = probe
-            if px.limit is None or py.limit is None:
-                results.append(ContinuityResult("skipped", detail="probe without a limit"))
-                continue
-            image = tuple(mapping(a, b) for a, b in zip(px.points, py.points))
-            expected = mapping(px.limit, py.limit)
-        else:
-            if probe.limit is None:
-                results.append(ContinuityResult("skipped", detail="probe without a limit"))
-                continue
-            image = tuple(mapping(p) for p in probe.points)
-            expected = mapping(probe.limit)
-        window = SequenceWindow(image, space)
-        hit = detect_limit(window, [expected], mode=mode, tol=tol)
-        if hit is None:
-            results.append(
-                ContinuityResult(
-                    "fail",
-                    expected=expected,
-                    detail="image sequence does not settle on the image of the limit",
-                )
-            )
+        parts = probe if isinstance(mapping, CoupledMap) else (probe,)  # one probe per argument
+        if any(p.limit is None for p in parts):
+            results.append(ContinuityResult("skipped", detail="probe without a limit"))
+            continue
+        image = tuple(mapping(*args) for args in zip(*(p.points for p in parts)))
+        expected = mapping(*(p.limit for p in parts))
+        if detect_limit(SequenceWindow(image, space), [expected], mode=mode, tol=tol) is None:
+            detail = "image sequence does not settle on the image of the limit"
+            results.append(ContinuityResult("fail", expected=expected, detail=detail))
         else:
             results.append(ContinuityResult("pass", expected=expected))
     return ContinuityReport(mode, results, tol)

@@ -39,8 +39,8 @@ from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, admissible_seed, directed_leq
-from .relations import relate_pair_left, relate_pair_right
+from .order import CoupledMap, PreorderCtx, SelfMap, admissible_seed, induced_leq, oriented
+from .relations import mirrored, relate_pair_left
 from .spaces import DomainError, Point, QPSpace
 
 # The phase label of each self map a scheme takes, in the order the maps
@@ -180,12 +180,6 @@ def _residuals(space: QPSpace, images, x: Point, y: Point):
     return res_d, res_dinv, res_ds
 
 
-def _phi_ok(phi: PhiFn, direction: str, slack: float, prev: Point, cur: Point) -> bool:
-    if direction == "forward":
-        return phi(cur) >= phi(prev) - slack
-    return phi(cur) <= phi(prev) + slack
-
-
 def scheme_for(k: int) -> str:
     """The scheme that takes k self maps."""
     return next((s for s, labels in SCHEMES.items() if labels is not None and len(labels) == k),
@@ -222,6 +216,9 @@ def _prepare(
     if cfg.metric_mode is None:  # run the context's mode, and report it
         cfg = replace(cfg, metric_mode=ctx.metric_mode)
     ectx = ctx if ctx.metric_mode == cfg.metric_mode else replace(ctx, metric_mode=cfg.metric_mode)
+    # order tests run forward on octx; steps, residuals and trace rows use ectx
+    octx = oriented(ectx, cfg.direction)
+    read = (lambda v: v) if octx is ectx else mirrored
     space = ectx.space
     dist, require = space.dist_fn, space.require
     names = _unique_names(selfmaps)
@@ -286,12 +283,11 @@ def _prepare(
                 # the seed hypothesis ties the seed to F, so it binds only when F
                 # comes first in the cycle
                 if cycle[0] == "F":
-                    if not admissible_seed(ectx, coupled, x, y, cfg.direction):
+                    if not admissible_seed(octx, coupled, x, y):
                         fail("seed", (x, y), detail="starting pair is not below its image")
                 elif strict_seed:
                     nx, ny = raw(cycle[0], x, y), raw(cycle[0], y, x)
-                    if not (directed_leq(ectx, cfg.direction, x, nx)
-                            and directed_leq(ectx, cfg.direction, y, ny)):
+                    if not (induced_leq(octx, x, nx) and induced_leq(octx, y, ny)):
                         fail("seed", (x, y), map_name=cycle[0],
                              detail="strict mode: starting pair is not below its first image")
 
@@ -304,8 +300,7 @@ def _prepare(
                         break
                 if cfg.verify_hypotheses:
                     for name, m in named:
-                        v = relate_pair_left(ectx, coupled, m, x, y) if cfg.direction == "forward" \
-                            else relate_pair_right(ectx, coupled, m, x, y)
+                        v = read(relate_pair_left(octx, coupled, m, x, y))
                         if v is not None:
                             fail(v.condition, v.pair, map_name=name,
                                  detail=f"part {v.part}: {v.lhs!r} not below {v.rhs!r}")
@@ -349,13 +344,12 @@ def _prepare(
                     prev_x, prev_y = x, y
                     x, y = nx, ny
                     if cfg.verify_hypotheses and n >= 2:
-                        if not (directed_leq(ectx, cfg.direction, prev_x, x)
-                                and directed_leq(ectx, cfg.direction, prev_y, y)):
+                        if not (induced_leq(octx, prev_x, x) and induced_leq(octx, prev_y, y)):
                             fail("chain", (prev_x, x, prev_y, y),
                                  detail="trace broke the order chain")
                             break
-                        if not (_phi_ok(phi, cfg.direction, ectx.slack, prev_x, x)
-                                and _phi_ok(phi, cfg.direction, ectx.slack, prev_y, y)):
+                        if not (octx.phi(x) >= octx.phi(prev_x) - octx.slack
+                                and octx.phi(y) >= octx.phi(prev_y) - octx.slack):
                             fail("phi_monotone", (prev_x, x, prev_y, y),
                                  detail="phi moved the wrong way beyond slack")
                             break

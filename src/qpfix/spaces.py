@@ -105,7 +105,10 @@ class QPSpace:
             )
         if not isinstance(x, (int, float, np.floating, np.integer)):
             return False
-        xf = float(x)
+        try:
+            xf = float(x)
+        except OverflowError:  # an integer beyond float range
+            return False
         if not math.isfinite(xf):
             return False
         return self.carrier.lo - _CONTAINS_EPS <= xf <= self.carrier.hi + _CONTAINS_EPS

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qpfix import catalog
@@ -66,6 +67,37 @@ def test_table_maps():
     g = catalog.get_map("table", values=[1, 0])
     assert isinstance(g, SelfMap)
     assert g(0) == 1
+
+
+def test_table_entries_keep_their_value_and_read_as_python_numbers():
+    coupled = catalog.get_map("coupled_table", matrix=np.array([[0, 1], [1, 1]]))
+    assert type(coupled(0, 1)) is int and coupled(0, 1) == 1
+    g = catalog.get_map("table", values=[np.uint8(1), np.int64(0)])
+    assert (type(g(0)), g(0), g(1)) == (int, 1, 0)
+    phi = catalog.get_phi("table", values=[1, np.float32(0.5), np.int64(2)])
+    assert [phi(i) for i in range(3)] == [1.0, 0.5, 2.0] and phi.declared_bound == 2.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.get_map("coupled_table", matrix=[[0.7, 1], [1, 1]]),
+    lambda: catalog.get_map("coupled_table", matrix=[[True, 1], [1, 1]]),
+    lambda: catalog.get_map("coupled_table", matrix=[[0, 1], [1]]),
+    lambda: catalog.get_map("coupled_table", matrix=[0, 1]),
+    lambda: catalog.get_map("coupled_table", matrix="01"),
+    lambda: catalog.get_map("table", values=[0.7, 1]),
+    lambda: catalog.get_map("table", values=["1", 0]),
+    lambda: catalog.get_map("table", values=[np.True_, 0]),
+    lambda: catalog.get_map("table", values=3),
+    lambda: catalog.get_phi("table", values=["0.5", 0]),
+    lambda: catalog.get_phi("table", values=[True, 0]),
+    lambda: catalog.get_phi("table", values=[float("nan"), 0]),
+    lambda: catalog.get_phi("table", values=[float("inf"), 0]),
+    lambda: catalog.get_phi("table", values=[10**400, 0]),
+    lambda: catalog.get_phi("table", values=[None, 0]),
+])
+def test_table_entries_are_not_coerced(build):
+    with pytest.raises(catalog.CatalogError, match="must be"):
+        build()
 
 
 def test_unknown_ids_raise():

@@ -322,7 +322,7 @@ def test_config_error_paths(tmp_path):
     assert main(["check-relations", "--config", _write(tmp_path / "mr.json", cfg)]) == 2
     # sample specs that are unknown, not a list, outside the carrier, or
     # exhaustive on an interval; a relation that is not a string
-    for sample in ("bogus", 3, [5.0], "exhaustive"):
+    for sample in ("bogus", 3, [5.0], "exhaustive", [10**400]):
         cfg = dict(order_cfg, sample=sample)
         assert main(["check-order", "--config", _write(tmp_path / "sa.json", cfg)]) == 2
     cfg = {"schema": "1", "space": {"id": "upper_interval"}, "sample": "exhaustive",
@@ -391,3 +391,59 @@ def test_numbers_are_not_read_from_strings_or_booleans(tmp_path):
         path = _write(tmp_path / "n.json", dict(cfg, slack=slack))
         assert main(["check-space", "--config", path]) == 2
     assert main(["check-space", "--config", _write(tmp_path / "i.json", dict(cfg, slack=1))]) == 0
+
+
+FINITE_SOLVE = {
+    "schema": "1",
+    "space": {"kind": "finite", "n": 2, "matrix": [[0, 1], [1, 0]]},
+    "phi": {"id": "table", "values": [0, 0]},
+    "maps": [{"id": "coupled_table", "matrix": [[0, 1], [1, 1]]}],
+    "scheme": "single",
+    "seed_pair": [0, 1],
+}
+
+
+def test_seed_pair_is_not_coerced(tmp_path, capsys):
+    # [0.7, "1"] used to run from (0, 1) and [true, 0] from (1, 0), both exiting 0
+    out = str(tmp_path / "o")
+    for seed in ([0.7, "1"], [True, 0], [0.0, 1], [0, None]):
+        path = _write(tmp_path / "f.json", dict(FINITE_SOLVE, seed_pair=seed, output_dir=out))
+        assert main(["solve", "--config", path]) == 2
+        assert "seed_pair must hold two integers" in capsys.readouterr().err
+    for seed in (["0.5", 0.0], [True, 0.0], [0.0, None]):
+        path = _write(tmp_path / "i.json", dict(PAIR_CONFIG, seed_pair=seed, output_dir=out))
+        assert main(["solve", "--config", path]) == 2
+        assert "seed_pair must hold two numbers" in capsys.readouterr().err
+    path = _write(tmp_path / "b.json", dict(PAIR_CONFIG, seed_pair=[10**400, 0], output_dir=out))
+    assert main(["solve", "--config", path]) == 2
+    assert "is not in the carrier" in capsys.readouterr().err
+    # integers on a finite carrier, and integers or floats on an interval, run
+    path = _write(tmp_path / "f.json", dict(FINITE_SOLVE, seed_pair=[0, 1], output_dir=out))
+    assert main(["solve", "--config", path]) == 0
+    with open(os.path.join(out, "trace.csv"), newline="") as fh:
+        assert list(csv.reader(fh))[1][:3] == ["0", "0", "1"]
+    path = _write(tmp_path / "i.json", dict(PAIR_CONFIG, seed_pair=[0, 0.0], output_dir=out))
+    assert main(["solve", "--config", path]) == 0
+    with open(os.path.join(out, "trace.csv"), newline="") as fh:
+        assert list(csv.reader(fh))[1][:3] == ["0", "0.0", "0.0"]
+
+
+def test_catalog_tables_are_not_coerced(tmp_path, capsys):
+    # 0.7 in a map table used to read as 0, "0.5" and true in a phi table as 0.5 and 1
+    cfg = {k: FINITE_SOLVE[k] for k in ("schema", "space", "phi")}
+    cfg.update(maps=[FINITE_SOLVE["maps"][0], {"id": "table", "values": [1, 0]}],
+               output_dir=str(tmp_path / "o"))
+    path = _write(tmp_path / "ok.json", cfg)
+    assert main(["check-relations", "--config", path]) in (0, 1)
+    coupled, table = cfg["maps"]
+    for maps, phi in [
+        ([{"id": "coupled_table", "matrix": [[0.7, 1], [1, 1]]}, table], cfg["phi"]),
+        ([{"id": "coupled_table", "matrix": [[False, 1], [1, 1]]}, table], cfg["phi"]),
+        ([coupled, {"id": "table", "values": [0.7, 0]}], cfg["phi"]),
+        ([coupled, {"id": "table", "values": ["1", 0]}], cfg["phi"]),
+        ([coupled, table], {"id": "table", "values": ["0.5", 0]}),
+        ([coupled, table], {"id": "table", "values": [True, 0]}),
+    ]:
+        path = _write(tmp_path / "c.json", dict(cfg, maps=maps, phi=phi))
+        assert main(["check-relations", "--config", path]) == 2
+        assert "must be" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,13 +25,14 @@ from qpfix.order import (
     CoupledMap,
     PreorderCtx,
     SelfMap,
-    admissible_seed,
     check_isotone,
+    dual,
     induced_leq,
     seed_search,
 )
 from qpfix.solvers import SolverConfig, _unique_names, couple_iterate, verify_point
 from qpfix.spaces import UnsupportedError, check_axioms, check_T0, finite_space
+from reference_order import admissible_seed
 
 
 def test_constant_map_enumeration():
@@ -263,6 +265,39 @@ def test_oracle_on_256_points_matches_double_loop():
         assert agreement.seeds == _seeds_reference(ctx, coupled, direction)
         assert agreement.runs == len(agreement.seeds) > 0
         assert agreement.passed
+
+
+# -- duality: a reverse run is a forward run on the dual context ---------------
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 2), st.booleans(),
+       st.booleans(), st.sampled_from(["plain", "symmetrized"]), st.sampled_from([0.0, 0.25]))
+@settings(max_examples=100, deadline=None)
+def test_reverse_is_forward_on_the_dual(seed, n, k, t0, verify, metric_mode, slack):
+    rng = np.random.default_rng(seed)
+    space = random_finite_space(rng, n, t0=t0)
+    ctx = PreorderCtx(space, random_phi_table(rng, n), metric_mode=metric_mode, slack=slack)
+    chain = order_chain(ctx)
+    coupled = random_isotone_coupled(rng, ctx, chain)
+    maps = [random_chain_selfmap(rng, ctx, chain, name=f"g{j + 1}") for j in range(k)]
+    dctx = dual(ctx)
+    cfg = SolverConfig(max_iter=200, verify_hypotheses=verify)
+    reverse = oracle_vs_solver(space, ctx, coupled, maps, replace(cfg, direction="reverse"))
+    forward = oracle_vs_solver(dctx.space, dctx, coupled, maps, cfg)
+    assert reverse.as_dict() == forward.as_dict()
+    pts = space.points()
+    first = next(iter(_seeds_reference(ctx, coupled, "reverse")), None)
+    assert seed_search(ctx, coupled, pts, "reverse") == seed_search(dctx, coupled, pts) == first
+    # F preserves the order exactly when it preserves the dual order: the
+    # tuple (x, z, y, w) on ctx is (z, x, w, y) on the dual, images swapped
+    rows = rng.integers(0, n, size=(n, n)).tolist()
+    for f in (coupled, CoupledMap(lambda a, b: rows[a][b])):
+        iso, diso = check_isotone(ctx, f, "exhaustive"), check_isotone(dctx, f, "exhaustive")
+        assert (diso.checked, diso.applicable) == (iso.checked, iso.applicable)
+        flip = [((z, x, w, y), c["image_hi"], c["image_lo"])
+                for c in diso.counterexamples for x, z, y, w in [c["tuple"]]]
+        assert sorted(flip) == sorted((c["tuple"], c["image_lo"], c["image_hi"])
+                                      for c in iso.counterexamples)
 
 
 # -- fates: every run's outcome against the oracle's orbit -----------------------

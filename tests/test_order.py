@@ -221,6 +221,49 @@ def test_seed_search_reverse_direction(unit_ctx):
     assert seed_search(unit_ctx, F, [0.5, 1.0], direction="reverse") == (0.5, 0.5)
 
 
+@pytest.mark.parametrize("mode", ["plain", "symmetrized"])
+def test_dual_reverses_the_relation_exactly(mode):
+    # decimal distances and potentials, where a rewrite that rounded
+    # differently would flip some comparisons at slack 0
+    rng = np.random.default_rng(17)
+    for n in (1, 3, 8):
+        space = finite_space(rng.integers(0, 10, size=(n, n)) / 10.0)
+        values = (rng.integers(-10, 10, size=n) / 10.0).tolist()
+        for slack in (0.0, 0.1):
+            ctx = PreorderCtx(space, PhiFn(lambda i: values[i]), metric_mode=mode, slack=slack)
+            d = order.dual(ctx)
+            assert np.array_equal(relation_matrix(d, space.points()),
+                                  relation_matrix(ctx, space.points()).T)
+            assert all(induced_leq(d, x, y) == induced_leq(ctx, y, x)
+                       for x, y in itertools.product(range(n), repeat=2))
+
+
+def test_dual_keeps_the_space_name_and_flips_the_bound(unit_ctx):
+    d = order.dual(unit_ctx)
+    assert d.space.name == unit_ctx.space.name and d.space.carrier == unit_ctx.space.carrier
+    assert (d.phi.bound_direction, d.phi.declared_bound, d.phi(0.25)) == ("below", -1.0, -0.25)
+    assert (d.metric_mode, d.slack) == (unit_ctx.metric_mode, unit_ctx.slack)
+    assert order.dual(d).phi.bound_direction == "above"
+    # a carrier error reads as it would on the context itself
+    with pytest.raises(DomainError) as got:
+        induced_leq(d, 2.0, 0.5)
+    with pytest.raises(DomainError) as want:
+        induced_leq(unit_ctx, 2.0, 0.5)
+    assert str(got.value) == str(want.value)
+
+
+def test_oriented_picks_the_context_a_run_climbs_in(unit_ctx):
+    assert order.oriented(unit_ctx, "forward") is unit_ctx
+    rev = order.oriented(unit_ctx, "reverse")
+    assert induced_leq(rev, 0.7, 0.2) and not induced_leq(rev, 0.2, 0.7)
+    F = catalog.get_map("coupled_max")
+    for direction in ("up", "Forward", None):
+        with pytest.raises(ValueError, match="unknown direction"):
+            order.oriented(unit_ctx, direction)
+        with pytest.raises(ValueError, match="unknown direction"):
+            seed_search(unit_ctx, F, [0.5], direction=direction)
+
+
 def test_seed_search_accepts_explicit_pairs(unit_ctx):
     F = catalog.get_map("coupled_max")
     assert seed_search(unit_ctx, F, [(0.3, 0.9)]) == (0.3, 0.9)

@@ -2,18 +2,25 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpfix import catalog
 from qpfix.oracle import random_chain_selfmap, random_finite_space, random_isotone_coupled, random_phi_table
-from qpfix.order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq
+from qpfix.order import CoupledMap, PreorderCtx, SelfMap, dual, induced_leq
 from qpfix.relations import (
     Probe,
+    RelReport,
     check_sequential_continuity,
     check_weakly_left_related,
     check_weakly_right_related,
+    mirrored,
     relate_pair_left,
     relate_pair_right,
 )
+from qpfix.solvers import SolverConfig, pair_iterate
+from qpfix.spaces import DomainError
+from reference_order import _relate_pair
 
 
 F_MAX = catalog.get_map("coupled_max")
@@ -74,18 +81,6 @@ def test_violations_are_stable_under_recheck(unit_ctx):
         assert (again.condition, again.part) == (v.condition, v.part)
 
 
-def _dual_ctx(ctx):
-    # leq with swapped arguments is the relation induced on the conjugate
-    # space by the negated potential
-    phi = ctx.phi
-    return PreorderCtx(
-        ctx.space.conjugate(),
-        PhiFn(lambda p: -phi(p), "below", -phi.declared_bound, name=f"-{phi.name}"),
-        metric_mode=ctx.metric_mode,
-        slack=ctx.slack,
-    )
-
-
 def test_left_and_right_checks_are_dual():
     rng = np.random.default_rng(13)
     for _ in range(15):
@@ -95,11 +90,92 @@ def test_left_and_right_checks_are_dual():
         ctx = PreorderCtx(space, phi, slack=0.0)
         coupled = random_isotone_coupled(rng, ctx)
         g = random_chain_selfmap(rng, ctx)
-        dual = _dual_ctx(ctx)
+        dctx = dual(ctx)
         for x, y in itertools.product(space.points(), repeat=2):
             right = relate_pair_right(ctx, coupled, g, x, y)
-            left = relate_pair_left(dual, coupled, g, x, y)
+            left = relate_pair_left(dctx, coupled, g, x, y)
             assert (right is None) == (left is None)
+
+
+def _reference_right(ctx, coupled, g, pairs):
+    """The old right check pair by pair: its violations, or the DomainError
+    that stopped it."""
+    try:
+        return [v for x, y in pairs if (v := _relate_pair("right", ctx, coupled, g, x, y))]
+    except DomainError as exc:
+        return exc
+
+
+def _right(ctx, coupled, g, pairs):
+    try:
+        return check_weakly_right_related(ctx, coupled, g, pairs).violations
+    except DomainError as exc:
+        return exc
+
+
+# F(x, y) = x / 4 + y / 4 + 2 leaves [0, 1] everywhere, so every check stops
+INTERVAL_COUPLED = [catalog.get_map(m) for m in ("coupled_max", "coupled_min", "coupled_affine",
+                                                "coupled_product", "coupled_projection")]
+INTERVAL_COUPLED.append(catalog.get_map("coupled_affine", c=2.0))
+INTERVAL_SELF = [catalog.get_map(m) for m in ("affine_pull", "halve", "sqrt_pull", "cbrt_pull",
+                                             "identity", "step")]
+
+
+@pytest.mark.parametrize("mode", ["plain", "symmetrized"])
+@pytest.mark.parametrize("phi_id", ["identity", "arctan", "neg_exp"])
+@pytest.mark.parametrize("space_id", ["upper_interval", "lower_interval"])
+def test_right_check_matches_the_reference_on_catalog_grids(space_id, phi_id, mode):
+    ctx = PreorderCtx(catalog.get_space(space_id), catalog.get_phi(phi_id), metric_mode=mode)
+    pairs = list(itertools.product(ctx.space.grid(11), repeat=2))
+    for coupled, g in itertools.product(INTERVAL_COUPLED, INTERVAL_SELF):
+        want, got = _reference_right(ctx, coupled, g, pairs), _right(ctx, coupled, g, pairs)
+        if isinstance(want, DomainError):  # both stop; the point named may differ
+            assert isinstance(got, DomainError)
+        else:
+            assert got == want  # condition, part, pair, lhs and rhs
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(), st.booleans(),
+       st.sampled_from(["plain", "symmetrized"]), st.sampled_from([0.0, 0.25]))
+@settings(max_examples=100, deadline=None)
+def test_right_check_is_the_mirrored_left_check_on_the_dual(seed, n, t0, isotone, mode, slack):
+    rng = np.random.default_rng(seed)
+    space = random_finite_space(rng, n, t0=t0)
+    ctx = PreorderCtx(space, random_phi_table(rng, n), metric_mode=mode, slack=slack)
+    if isotone:
+        coupled, g = random_isotone_coupled(rng, ctx), random_chain_selfmap(rng, ctx)
+    else:  # arbitrary tables, which break the conditions often
+        rows, values = rng.integers(0, n, size=(n, n)).tolist(), rng.integers(0, n, n).tolist()
+        coupled = CoupledMap(lambda a, b: rows[a][b])
+        g = SelfMap(lambda a: values[a])
+    right = check_weakly_right_related(ctx, coupled, g, "exhaustive")
+    left = check_weakly_left_related(dual(ctx), coupled, g, "exhaustive")
+    mirror = RelReport("right", [mirrored(v) for v in left.violations], left.checked, left.slack)
+    assert right.as_dict() == mirror.as_dict()
+    pairs = itertools.product(range(n), repeat=2)
+    assert right.violations == _reference_right(ctx, coupled, g, pairs)
+
+
+def test_right_check_names_the_image_produced_first(unit_ctx):
+    # F(0.5, 0.5) = 2.25 and g(2.25) = 1.125 both leave [0, 1]; the left
+    # check names 2.25, and the right check now does too
+    F = catalog.get_map("coupled_affine", c=2.0)
+    first = r"point 2\.25 is not in the carrier of upper_interval\[0\.0,1\.0\]"
+    for check in (relate_pair_left, relate_pair_right):
+        with pytest.raises(DomainError, match=first):
+            check(unit_ctx, F, HALVE, 0.5, 0.5)
+    with pytest.raises(DomainError, match=first):
+        check_weakly_right_related(unit_ctx, F, HALVE, [(0.5, 0.5)])
+    with pytest.raises(DomainError, match=r"point 1\.125 "):  # the reference named the second
+        _relate_pair("right", unit_ctx, F, HALVE, 0.5, 0.5)
+    # so does a verified reverse run: at (0.5, 0.5) the seed and part 1
+    # hold, then g(0.5) = 2 and F(2, 2) = 3 both leave (the reference named 3)
+    F = CoupledMap(lambda a, b: 0.0 if a <= 1 else 3.0, name="F")
+    g = SelfMap(lambda a: 2.0 if a > 0.25 else a, name="g")
+    cfg = SolverConfig(direction="reverse", verify_hypotheses=True)
+    report = pair_iterate(unit_ctx, F, g, (0.5, 0.5), cfg)
+    assert (report.status, report.violation.index) == ("domain_escape", 0)
+    assert report.violation.detail == "point 2.0 is not in the carrier of upper_interval[0.0,1.0]"
 
 
 def test_relation_report_json(unit_ctx):

@@ -28,7 +28,7 @@ from qpfix.oracle import (
     random_isotone_coupled,
     random_phi_table,
 )
-from qpfix.order import CoupledMap, PreorderCtx, SelfMap, admissible_seed, directed_leq
+from qpfix.order import CoupledMap, PreorderCtx, SelfMap
 from qpfix.relations import relate_pair_left, relate_pair_right
 from qpfix.solvers import (
     IterationTrace,
@@ -36,7 +36,6 @@ from qpfix.solvers import (
     SolverReport,
     SolverViolation,
     TraceRow,
-    _phi_ok,
     _prepare,
     _unique_names,
     run_scheme,
@@ -44,6 +43,7 @@ from qpfix.solvers import (
     scheme_phases,
 )
 from qpfix.spaces import DomainError, Point, QPSpace
+from reference_order import _phi_ok, admissible_seed, directed_leq
 
 # -- the reference: the solver loop before runs were prepared, verbatim ----------
 

@@ -286,3 +286,12 @@ def test_batch_membership_agrees_with_contains(pts, kind):
             space.require(p)
     assert str(batch.value) == str(loop.value)
 
+
+
+def test_an_integer_beyond_float_range_is_outside_an_interval(unit_space):
+    # float(10**400) raises OverflowError, which contains once let through
+    for x in (10**400, -(10**400)):
+        assert not unit_space.contains(x)
+        assert unit_space.first_outside([0.5, x]) == 1
+        with pytest.raises(spaces.DomainError):
+            unit_space.require_all([x])
