@@ -9,13 +9,13 @@ construction and are never certified by finite testing.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Union
 
 import numpy as np
 
 from .order import CoupledMap, PhiFn, SelfMap
-from .spaces import QPSpace, _lower_interval_space, finite_space, upper_interval_space
+from .spaces import (QPSpace, _lower_interval_space, finite_space, is_finite_number,
+                     upper_interval_space)
 
 
 class CatalogError(LookupError):
@@ -48,8 +48,8 @@ def get_space(space_id: str, **params) -> QPSpace:
 
 def _space(space_id: str, params: dict) -> QPSpace:
     if space_id in ("upper_interval", "lower_interval"):
-        lo = float(params.pop("lo", 0.0))
-        hi = float(params.pop("hi", 1.0))
+        lo = _number(params, "lo", 0.0)
+        hi = _number(params, "hi", 1.0)
         build = upper_interval_space if space_id == "upper_interval" else _lower_interval_space
         return build(lo, hi)
     if space_id == "finite":
@@ -67,18 +67,18 @@ def get_phi(phi_id: str, **params) -> PhiFn:
 def _phi(phi_id: str, params: dict) -> PhiFn:
     direction = params.pop("direction", "above")
     if phi_id == "identity":
-        bound = float(params.pop("bound", 1.0))
+        bound = _number(params, "bound", 1.0)
         return PhiFn(lambda x: float(x), direction, bound, name="identity")
     if phi_id == "arctan":
-        bound = float(params.pop("bound", math.pi / 2))
+        bound = _number(params, "bound", math.pi / 2)
         return PhiFn(lambda x: math.atan(x), direction, bound, name="arctan")
     if phi_id == "neg_exp":
-        bound = float(params.pop("bound", 0.0))
+        bound = _number(params, "bound", 0.0)
         return PhiFn(lambda x: -math.exp(-x), direction, bound, name="neg_exp")
     if phi_id == "table":
         values = _table("phi table values", params.pop("values"), integer=False)
         default = max(values) if direction == "above" else min(values)
-        bound = float(params.pop("bound", default))
+        bound = _number(params, "bound", default)
         return PhiFn(lambda i: values[int(i)], direction, bound, name="phi_table")
     raise CatalogError(f"unknown phi id {phi_id!r}")
 
@@ -95,9 +95,9 @@ def _map(map_id: str, params: dict) -> Union[CoupledMap, SelfMap]:
     if map_id == "coupled_min":
         return CoupledMap(lambda x, y: min(x, y), name="coupled_min")
     if map_id == "coupled_affine":
-        a = float(params.pop("a", 0.25))
-        b = float(params.pop("b", 0.25))
-        c = float(params.pop("c", 0.5))
+        a = _number(params, "a", 0.25)
+        b = _number(params, "b", 0.25)
+        c = _number(params, "c", 0.5)
         return CoupledMap(lambda x, y: a * x + b * y + c, name="coupled_affine")
     if map_id == "coupled_product":
         return CoupledMap(lambda x, y: x * y, name="coupled_product")
@@ -111,8 +111,8 @@ def _map(map_id: str, params: dict) -> Union[CoupledMap, SelfMap]:
         rows = [flat[i * m : (i + 1) * m] for i in range(len(cells))]
         return CoupledMap(lambda x, y: rows[int(x)][int(y)], name="coupled_table")
     if map_id == "affine_pull":
-        a = float(params.pop("a", 0.5))
-        b = float(params.pop("b", 0.5))
+        a = _number(params, "a", 0.5)
+        b = _number(params, "b", 0.5)
         return SelfMap(lambda x: a * x + b, name="affine_pull")
     if map_id == "halve":
         return SelfMap(lambda x: x / 2, name="halve")
@@ -123,14 +123,22 @@ def _map(map_id: str, params: dict) -> Union[CoupledMap, SelfMap]:
     if map_id == "identity":
         return SelfMap(lambda x: x, name="identity")
     if map_id == "step":
-        threshold = float(params.pop("threshold", 0.5))
-        low = float(params.pop("low", 0.0))
-        high = float(params.pop("high", 1.0))
+        threshold = _number(params, "threshold", 0.5)
+        low = _number(params, "low", 0.0)
+        high = _number(params, "high", 1.0)
         return SelfMap(lambda x: high if x >= threshold else low, name="step")
     if map_id == "table":
         values = _table("table values", params.pop("values"), integer=True)
         return SelfMap(lambda i: values[int(i)], name="table")
     raise CatalogError(f"unknown map id {map_id!r}")
+
+
+def _number(params: dict, key: str, default: float) -> float:
+    """params[key], or default when absent, as a float: "0.5", true and null are no numbers."""
+    value = params.pop(key, default)
+    if not is_finite_number(value):
+        raise CatalogError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _table(what: str, values, integer: bool) -> list:
@@ -140,10 +148,10 @@ def _table(what: str, values, integer: bool) -> list:
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise CatalogError(f"{what} must be a list, got {values!r}")
     out = [v.item() if isinstance(v, np.generic) else v for v in values]
-    kinds, kind = ((int,), "integers") if integer else ((int, float), "finite real numbers")
-    # abs(v) <= max also rejects NaN, infinities and integers beyond float range
-    bad = [v for v in out if type(v) not in kinds or not (integer or abs(v) <= sys.float_info.max)]
+    ok = (lambda v: type(v) is int) if integer else is_finite_number
+    bad = [v for v in out if not ok(v)]
     if bad:
+        kind = "integers" if integer else "finite real numbers"
         raise CatalogError(f"{what} must be {kind}, got {bad[0]!r}")
     return out if integer else [float(v) for v in out]
 

@@ -29,12 +29,13 @@ from .order import (
     seed_search,
 )
 from .relations import check_weakly_left_related, check_weakly_right_related
-from .solvers import SolverConfig, check_scheme, run_scheme
+from .solvers import SolverConfig, check_scheme, run_contexts, run_scheme
 from .spaces import (
     DomainError,
     UnsupportedError,
     check_axioms,
     check_T0,
+    is_finite_number,
     resolve_sample,
     space_from_json,
 )
@@ -48,8 +49,37 @@ class ConfigError(ValueError):
 
 # -- config plumbing ----------------------------------------------------
 
+# The JSON kind of each typed field, wherever it appears: in a config or
+# its campaign or solver object (README "Config values"; an inline space
+# is read by spaces.space_from_json).  Nothing is coerced: true or false is
+# no integer, and float stands for a finite number, integral or not.
+_FIELD_KINDS = {
+    "slack": float, "tol": float, "max_iter": int, "stall_window": int,
+    "instances": int, "min_points": int, "max_points": int, "map_counts": list,
+    "require_t0": bool, "strict_seed": bool, "verify_hypotheses": bool, "output_dir": str,
+}
+_KIND_NAMES = {float: "a finite number", int: "an integer", list: "a list",
+               bool: "true or false", str: "a string"}
 
-def _load_config(path: str, allowed: set, required: set) -> dict:
+
+def _checked(obj, what: str, required: set, optional: set) -> dict:
+    """obj, once it is a JSON object with every required field, no field
+    beyond those and the optional ones, and each typed field of its kind."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown, missing = set(obj) - required - optional, required - set(obj)
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            raise ConfigError(f"{problem} {what} fields: {sorted(names)}")
+    for key, value in obj.items():
+        kind = _FIELD_KINDS.get(key)
+        if kind and not (is_finite_number(value) if kind is float else type(value) is kind):
+            raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return obj
+
+
+def _load_config(path: str, required: set, optional: set) -> dict:
+    """The config at path; every config gives "schema" and "output_dir"."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -57,17 +87,9 @@ def _load_config(path: str, allowed: set, required: set) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path!r}: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if cfg.get("schema") != SCHEMA_VERSION:
+    if isinstance(cfg, dict) and cfg.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f'config must declare "schema": "{SCHEMA_VERSION}"')
-    unknown = set(cfg) - allowed - {"schema"}
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"missing config fields: {sorted(missing)}")
-    return cfg
+    return _checked(cfg, "config", required | {"schema", "output_dir"}, optional)
 
 
 def _from_catalog(what: str, build, obj):
@@ -91,26 +113,6 @@ def _build_space(obj: dict):
     return _from_catalog("space", catalog.get_space, obj)
 
 
-def _number(cfg: dict, key: str, default: float) -> float:
-    value = cfg.get(key, default)
-    # JSON admits NaN, Infinity and integers beyond any float; none passes
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-_KINDS = {bool: "true or false", int: "an integer", list: "a list"}
-
-
-def _typed(cfg: dict, key: str, default, kind: type):
-    """cfg[key], or default when absent, which JSON must give as exactly
-    that kind: nothing is coerced, and true or false is no integer."""
-    value = cfg.get(key, default)
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
 def _sample_points(cfg: dict, space) -> list:
     """The points of the config's sample spec ("default", "exhaustive" or
     an explicit list of carrier points)."""
@@ -121,14 +123,13 @@ def _sample_points(cfg: dict, space) -> list:
         raise ConfigError(f"bad sample {sample!r}: {exc}")
 
 
-def _build_ctx(cfg: dict, metric_mode: Optional[str] = None) -> PreorderCtx:
-    """The order context of a config: its space, phi, slack and metric
-    mode.  A solver's own ``metric_mode``, when set, takes precedence."""
+def _build_ctx(cfg: dict) -> PreorderCtx:
+    """The order context of a config: its space, phi, slack and metric mode."""
     space = _build_space(cfg["space"])
     phi = _from_catalog("phi", catalog.get_phi, cfg["phi"])
-    slack = _number(cfg, "slack", 1e-12)
+    slack = float(cfg.get("slack", 1e-12))
     try:
-        return PreorderCtx(space, phi, metric_mode or cfg.get("metric_mode", "plain"), slack)
+        return PreorderCtx(space, phi, cfg.get("metric_mode", "plain"), slack)
     except ValueError as exc:
         raise ConfigError(f"bad order config: {exc}")
 
@@ -146,17 +147,11 @@ def _build_maps(objs, want_coupled_first=True):
     return maps
 
 
-def _build_solver_cfg(obj: Optional[dict]) -> SolverConfig:
-    if obj is None:
-        return SolverConfig()
-    if not isinstance(obj, dict):
-        raise ConfigError("solver must be an object")
-    unknown = set(obj) - {f.name for f in fields(SolverConfig)}
-    if unknown:
-        raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
+def _build_solver_cfg(obj: dict) -> SolverConfig:
+    _checked(obj, "solver", set(), {f.name for f in fields(SolverConfig)})
     try:
         return SolverConfig(**obj)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad solver config: {exc}")
 
 
@@ -197,33 +192,21 @@ def _write_trace(trace, out_dir: str, filename: str = "trace.csv") -> str:
 
 
 def _cmd_check_space(args) -> int:
-    cfg = _load_config(
-        args.config,
-        allowed={"space", "sample", "slack", "require_t0", "output_dir"},
-        required={"space", "output_dir"},
-    )
+    cfg = _load_config(args.config, {"space"}, {"sample", "slack", "require_t0"})
     space = _build_space(cfg["space"])
-    slack = _number(cfg, "slack", 1e-12)
-    require_t0 = _typed(cfg, "require_t0", False, bool)
+    slack = float(cfg.get("slack", 1e-12))
     if cfg.get("sample", "default") not in ("default", "exhaustive"):
         raise ConfigError('sample must be "default" or "exhaustive"')
     pts = _sample_points(cfg, space)
     axioms = check_axioms(space, pts, slack=slack)
     t0 = check_T0(space, pts, slack=slack)
-    ok = axioms.passed and (t0.passed or not require_t0)
-    _write_json(
-        {"axioms": axioms.as_dict(), "t0": t0.as_dict(), "passed": ok},
-        cfg["output_dir"],
-    )
+    ok = axioms.passed and (t0.passed or not cfg.get("require_t0", False))
+    _write_json({"axioms": axioms.as_dict(), "t0": t0.as_dict(), "passed": ok}, cfg["output_dir"])
     return 0 if ok else 1
 
 
 def _cmd_check_order(args) -> int:
-    cfg = _load_config(
-        args.config,
-        allowed={"space", "phi", "maps", "sample", "slack", "metric_mode", "output_dir"},
-        required={"space", "phi", "output_dir"},
-    )
+    cfg = _load_config(args.config, {"space", "phi"}, {"maps", "sample", "slack", "metric_mode"})
     ctx = _build_ctx(cfg)
     space = ctx.space
     laws = check_preorder_laws(ctx, _sample_points(cfg, space))
@@ -246,11 +229,7 @@ def _cmd_check_order(args) -> int:
 
 
 def _cmd_check_relations(args) -> int:
-    cfg = _load_config(
-        args.config,
-        allowed={"space", "phi", "maps", "relation", "slack", "metric_mode", "output_dir"},
-        required={"space", "phi", "maps", "output_dir"},
-    )
+    cfg = _load_config(args.config, {"space", "phi", "maps"}, {"relation", "slack", "metric_mode"})
     ctx = _build_ctx(cfg)
     maps = _build_maps(cfg["maps"])
     if len(maps) != 2:
@@ -270,18 +249,14 @@ def _cmd_check_relations(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(
-        args.config,
-        allowed={"space", "phi", "maps", "scheme", "seed_pair", "solver",
-                 "strict_seed", "slack", "output_dir"},
-        required={"space", "phi", "maps", "scheme", "seed_pair", "output_dir"},
-    )
-    solver_cfg = _build_solver_cfg(cfg.get("solver"))
-    ctx = _build_ctx(cfg, solver_cfg.metric_mode)
+    cfg = _load_config(args.config, {"space", "phi", "maps", "scheme", "seed_pair"},
+                       {"solver", "strict_seed", "slack"})
+    solver_cfg = _build_solver_cfg(cfg.get("solver", {}))
+    ctx = _build_ctx(cfg)
     space = ctx.space
     maps = _build_maps(cfg["maps"])
     coupled, selfmaps = maps[0], maps[1:]
-    scheme, strict = cfg["scheme"], _typed(cfg, "strict_seed", False, bool)
+    scheme, strict = cfg["scheme"], cfg.get("strict_seed", False)
     try:
         check_scheme(scheme, len(selfmaps))
     except ValueError as exc:
@@ -290,15 +265,13 @@ def _cmd_solve(args) -> int:
     seed_pair = cfg["seed_pair"]
     if seed_pair == "search":
         try:
-            seed = seed_search(ctx, coupled, space.grid(), direction=solver_cfg.direction)
+            seed = seed_search(run_contexts(ctx, solver_cfg)[2], coupled, space.grid())
         except DomainError as exc:
             _write_json({"status": "domain_escape", "detail": str(exc)}, cfg["output_dir"])
             return 1
         if seed is None:
-            _write_json(
-                {"status": "no_seed", "detail": "no admissible starting pair found"},
-                cfg["output_dir"],
-            )
+            payload = {"status": "no_seed", "detail": "no admissible starting pair found"}
+            _write_json(payload, cfg["output_dir"])
             return 1
     elif isinstance(seed_pair, list) and len(seed_pair) == 2:
         # nothing is coerced: 0.7, "1" and true are no carrier points
@@ -318,17 +291,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _load_config(
-        args.config,
-        allowed={"space", "maps", "tol", "output_dir"},
-        required={"space", "maps", "output_dir"},
-    )
+    cfg = _load_config(args.config, {"space", "maps"}, {"tol"})
     space = _build_space(cfg["space"])
     if not space.is_finite:
         raise ConfigError("oracle needs a finite space")
     maps = _build_maps(cfg["maps"])
     try:
-        report = enumerate_points(space, maps[0], maps[1:], tol=_number(cfg, "tol", 0.0))
+        report = enumerate_points(space, maps[0], maps[1:], tol=float(cfg.get("tol", 0.0)))
     except DomainError as exc:
         raise ConfigError(f"bad map: {exc}")
     _write_json(report.as_dict(), cfg["output_dir"])
@@ -336,36 +305,22 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(
-        args.config,
-        allowed={"campaign", "solver", "output_dir"},
-        required={"campaign", "output_dir"},
-    )
-    camp = cfg["campaign"]
-    if not isinstance(camp, dict):
-        raise ConfigError("campaign must be an object")
-    unknown = set(camp) - {"instances", "min_points", "max_points", "map_counts"}
-    if unknown:
-        raise ConfigError(f"unknown campaign fields: {sorted(unknown)}")
-    solver_cfg = _build_solver_cfg(cfg.get("solver")) if "solver" in cfg else None
-    instances = _typed(camp, "instances", 100, int)
-    min_points = _typed(camp, "min_points", 2, int)
-    max_points = _typed(camp, "max_points", 6, int)
-    map_counts = tuple(_typed(camp, "map_counts", [0, 1, 2], list))
+    cfg = _load_config(args.config, {"campaign"}, {"solver"})
+    camp = _checked(cfg["campaign"], "campaign", set(),
+                    {"instances", "min_points", "max_points", "map_counts"})
+    solver_cfg = _build_solver_cfg(cfg["solver"]) if "solver" in cfg else None
+    instances = camp.get("instances", 100)
+    min_points = camp.get("min_points", 2)
+    max_points = camp.get("max_points", 6)
+    map_counts = tuple(camp.get("map_counts", [0, 1, 2]))
     if instances < 0 or not 1 <= min_points <= max_points <= ORACLE_POINT_CAP:
         raise ConfigError("campaign needs instances >= 0 and "
                           f"1 <= min_points <= max_points <= {ORACLE_POINT_CAP}")
     if not map_counts or any(type(k) is not int or k < 0 for k in map_counts):
         raise ConfigError("map_counts must be a nonempty list of integers >= 0")
     try:
-        report = run_agreement_campaign(
-            seed=args.seed,
-            instances=instances,
-            min_points=min_points,
-            max_points=max_points,
-            map_counts=map_counts,
-            cfg=solver_cfg,
-        )
+        report = run_agreement_campaign(args.seed, instances, min_points, max_points,
+                                        map_counts, cfg=solver_cfg)
     except ValueError as exc:  # a solver tol the exact oracle cannot judge
         raise ConfigError(f"bad solver config: {exc}")
     payload = report.as_dict()

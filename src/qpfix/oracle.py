@@ -16,13 +16,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq, oriented, relation_matrix
+from .order import CoupledMap, PhiFn, PreorderCtx, SelfMap, induced_leq, relation_matrix
 from .solvers import (
     SolverConfig,
     SolverReport,
     _prepare,
     _unique_names,
     couple_iterate,  # noqa: F401 -- bench/test_bench.py reads qpfix.oracle.couple_iterate
+    run_contexts,
     scheme_for,
     scheme_phases,
 )
@@ -362,8 +363,8 @@ def oracle_vs_solver(
         run = _prepare(scheme, ctx, coupled, maps, cfg)
     else:
         run = lambda seed: solver_fn(ctx, coupled, maps, seed, cfg)
-    # the admissible seeds, a gather: below[x, y] = x below F(x, y) in the oriented context
-    rel = relation_matrix(oriented(ctx, cfg.direction), space.points())
+    # the admissible seeds, a gather: below[x, y] = x below F(x, y) in the run's order
+    rel = relation_matrix(run_contexts(ctx, cfg)[2], space.points())
     below = rel[np.arange(len(table))[:, None], table]
     seeds = _pairs(below & below.T)
 

@@ -201,6 +201,16 @@ def scheme_phases(scheme: str, maps: Sequence[SelfMap]) -> tuple[list, dict]:
     return labels[:0:-1] + ["F"] + labels[:1], dict(zip(labels, maps))
 
 
+def run_contexts(ctx: PreorderCtx, cfg: SolverConfig) -> tuple:
+    """A run's metric mode, decided once: cfg with its mode set (the context's
+    when cfg sets none, so the report names it), ctx in that mode (ectx: steps,
+    residuals, trace rows) and ectx oriented in cfg's direction (octx: order tests)."""
+    if cfg.metric_mode is None:
+        cfg = replace(cfg, metric_mode=ctx.metric_mode)
+    ectx = ctx if ctx.metric_mode == cfg.metric_mode else replace(ctx, metric_mode=cfg.metric_mode)
+    return cfg, ectx, oriented(ectx, cfg.direction)
+
+
 def _prepare(
     scheme: str,
     ctx: PreorderCtx,
@@ -213,11 +223,7 @@ def _prepare(
     returns the function that runs one seed.  On a finite carrier its runs
     share each map image, phi value and residual table."""
     cycle, phase_maps = scheme_phases(scheme, selfmaps)
-    if cfg.metric_mode is None:  # run the context's mode, and report it
-        cfg = replace(cfg, metric_mode=ctx.metric_mode)
-    ectx = ctx if ctx.metric_mode == cfg.metric_mode else replace(ctx, metric_mode=cfg.metric_mode)
-    # order tests run forward on octx; steps, residuals and trace rows use ectx
-    octx = oriented(ectx, cfg.direction)
+    cfg, ectx, octx = run_contexts(ctx, cfg)
     read = (lambda v: v) if octx is ectx else mirrored
     space = ectx.space
     dist, require = space.dist_fn, space.require

@@ -9,6 +9,7 @@ sets (points are integer indices into a dense distance matrix).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -18,6 +19,13 @@ Point = Union[int, float]
 
 DEFAULT_AXIOM_SLACK = 1e-12
 DEFAULT_GRID_POINTS = 21
+
+
+def is_finite_number(value) -> bool:
+    """A finite number as JSON gives one: an int or a float (or a numpy scalar
+    of one), never a bool, a string, NaN, Infinity or an int beyond float range."""
+    value = value.item() if isinstance(value, np.generic) else value
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 class DomainError(ValueError):
@@ -260,14 +268,20 @@ def _lower_interval_space(lo: float, hi: float) -> QPSpace:
 
 
 def finite_space(matrix: Iterable[Iterable[float]], name: str = "finite") -> QPSpace:
-    m = np.asarray(matrix, dtype=float)
+    numeric = isinstance(matrix, np.ndarray) and matrix.dtype.kind in "iuf"
+    # numpy would take "0.5" and true as numbers: other input is read entry by entry
+    m = np.asarray(matrix, dtype=None if numeric else object)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("finite space needs a square distance matrix")
+    if not numeric:
+        bad = [v for v in m.flat if not is_finite_number(v)]
+        if bad:
+            raise ValueError(f"distance matrix entries must be finite numbers, got {bad[0]!r}")
+    m = np.ascontiguousarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("distance matrix entries must be finite")
     if (m < 0).any():
         raise ValueError("distance matrix entries must be nonnegative")
-    m = np.ascontiguousarray(m)
     rows = m.tolist()  # Python lists index faster than numpy scalars
     return QPSpace(
         FiniteCarrier(m.shape[0]),
@@ -410,17 +424,31 @@ def space_to_json(space: QPSpace) -> dict:
     raise ValueError(f"space {space.name!r} has no JSON form")
 
 
+# the required and the optional fields of an inline space of each kind
+_SPACE_FIELDS = {"interval": ({"kind", "lo", "hi"}, {"dist"}),
+                 "finite": ({"kind", "matrix"}, {"n"})}
+
+
 def space_from_json(obj: dict) -> QPSpace:
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _SPACE_FIELDS:  # a list is no key
+        raise ValueError(f"unknown space kind {kind!r}")
+    required, optional = _SPACE_FIELDS[kind]
+    unknown, missing = set(obj) - required - optional, required - set(obj)
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            raise ValueError(f"{problem} space fields: {sorted(names)}")
     if kind == "finite":
-        m = obj["matrix"]
-        if len(m) != obj.get("n", len(m)):
-            raise ValueError("matrix size disagrees with declared n")
-        return finite_space(m)
-    if kind == "interval":
-        build = {"upper": upper_interval_space, "lower": _lower_interval_space}
-        dist = obj.get("dist", "upper")
-        if dist not in build:
-            raise ValueError(f"unknown interval distance {dist!r}")
-        return build[dist](obj["lo"], obj["hi"])
-    raise ValueError(f"unknown space kind {kind!r}")
+        space = finite_space(obj["matrix"])
+        n, size = obj.get("n", space.carrier.size), space.carrier.size
+        if type(n) is not int or n != size:
+            raise ValueError(f"n must be the integer size of the matrix, {size}, got {n!r}")
+        return space
+    dist = obj.get("dist", "upper")
+    if dist not in ("upper", "lower"):
+        raise ValueError(f"unknown interval distance {dist!r}")
+    for key in ("lo", "hi"):
+        if not is_finite_number(obj[key]):
+            raise ValueError(f"{key} must be a finite number, got {obj[key]!r}")
+    build = upper_interval_space if dist == "upper" else _lower_interval_space
+    return build(obj["lo"], obj["hi"])

@@ -100,6 +100,27 @@ def test_table_entries_are_not_coerced(build):
         build()
 
 
+@pytest.mark.parametrize("value", [None, "0.5", True, [0.5], float("nan"), float("inf"), 10**400],
+                         ids=["null", "string", "bool", "list", "nan", "inf", "10**400"])
+@pytest.mark.parametrize("build, key", [
+    pytest.param(lambda **p: catalog.get_space("upper_interval", **p), "lo", id="space-lo"),
+    pytest.param(lambda **p: catalog.get_space("lower_interval", **p), "hi", id="space-hi"),
+    pytest.param(lambda **p: catalog.get_phi("identity", **p), "bound", id="phi-bound"),
+    pytest.param(lambda **p: catalog.get_phi("table", values=[0, 1], **p), "bound",
+                 id="table-bound"),
+    pytest.param(lambda **p: catalog.get_map("coupled_affine", **p), "c", id="affine-c"),
+    pytest.param(lambda **p: catalog.get_map("affine_pull", **p), "a", id="pull-a"),
+    pytest.param(lambda **p: catalog.get_map("step", **p), "threshold", id="step-threshold"),
+    pytest.param(lambda **p: catalog.get_map("step", **p), "high", id="step-high"),
+])
+def test_scalar_parameters_are_not_coerced(build, key, value):
+    # "lo": null used to raise TypeError, and "lo": "0.5" to read as 0.5
+    with pytest.raises(catalog.CatalogError, match=f"{key} must be a finite number"):
+        build(**{key: value})
+    build(**{key: np.float64(0.5)})
+    build(**{key: 0})
+
+
 def test_unknown_ids_raise():
     with pytest.raises(catalog.CatalogError):
         catalog.get_space("banach")

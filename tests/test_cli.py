@@ -1,7 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import re
+import sys
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qpfix import cli
 from qpfix.cli import main
 
 
@@ -447,3 +456,137 @@ def test_catalog_tables_are_not_coerced(tmp_path, capsys):
         path = _write(tmp_path / "c.json", dict(cfg, maps=maps, phi=phi))
         assert main(["check-relations", "--config", path]) == 2
         assert "must be" in capsys.readouterr().err
+
+
+# -- one typed field reader for the config and its nested objects -------------
+
+
+def _run(argv):
+    """main's exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _argv(cmd, path):
+    return [cmd, "--config", path] + (["--seed", "1"] if cmd == "compare" else [])
+
+
+def test_badly_typed_or_missing_fields_exit_two(tmp_path):
+    # each of these used to run, or exit 1 with a KeyError or TypeError traceback
+    out = str(tmp_path / "o")
+    space_cfg = {"schema": "1", "output_dir": out}
+    coerced = [[0, "0.5"], [True, 0]]  # used to read as [[0, 0.5], [1, 0]]
+    cases = [
+        ("solve", dict(PAIR_CONFIG, solver={"tol": True})),
+        ("solve", dict(PAIR_CONFIG, solver={"max_iter": 2.5})),
+        ("solve", dict(PAIR_CONFIG, solver={"verify_hypotheses": 1})),
+        ("solve", dict(PAIR_CONFIG, solver=None)),
+        ("check-space", dict(space_cfg, space={"kind": "interval", "hi": 1})),
+        ("check-space", dict(space_cfg, space={"kind": "finite"})),
+        ("check-space", dict(space_cfg, space={"kind": "finite", "matrix": 3})),
+        ("check-space", dict(space_cfg, space={"kind": "finite", "n": True, "matrix": [[0]]})),
+        ("check-space", dict(space_cfg, space={"kind": "interval", "lo": 0, "hi": 1, "dist": []})),
+        ("check-space", dict(space_cfg, space={"kind": ["finite"], "matrix": [[0]]})),
+        ("check-space", dict(space_cfg, space={"id": "upper_interval", "lo": None})),
+        ("check-space", dict(space_cfg, space={"id": "upper_interval", "lo": "0.5", "hi": True})),
+        ("check-space", dict(space_cfg, space={"id": "upper_interval"}, output_dir=5)),
+        ("check-space", dict(space_cfg, space={"kind": "finite", "matrix": coerced})),
+        ("check-space", dict(space_cfg, space={"id": "finite", "matrix": coerced})),
+        ("compare", {"schema": "1", "campaign": [], "output_dir": out}),
+    ]
+    for cmd, cfg in cases:
+        code, err = _run(_argv(cmd, _write(tmp_path / "c.json", cfg)))
+        assert (code, err.startswith("config error:")) == (2, True), (cmd, cfg, err)
+
+
+# For each command, a valid config whose typed fields, at the top or in a
+# nested campaign, solver or space object, are set; a value of another
+# JSON kind in any one of them is a config error.
+_FUZZ_SOLVER = {"tol": 1e-9, "max_iter": 50, "stall_window": 3, "verify_hypotheses": False}
+_FUZZ_CONFIGS = {
+    "check-space": {"space": {"kind": "interval", "lo": 0.0, "hi": 1.0}, "slack": 1e-12,
+                    "require_t0": False},
+    "check-order": {"space": {"id": "upper_interval", "lo": 0.0, "hi": 1.0},
+                    "phi": {"id": "identity"}, "slack": 0.0},
+    "check-relations": {"space": {"kind": "finite", "n": 2, "matrix": [[0, 1], [1, 0]]},
+                        "phi": {"id": "table", "values": [0, 0]},
+                        "maps": [{"id": "coupled_table", "matrix": [[0, 1], [1, 1]]},
+                                 {"id": "table", "values": [1, 0]}], "slack": 0.0},
+    "solve": dict(PAIR_CONFIG, space={"kind": "interval", "lo": 0.0, "hi": 1.0},
+                  solver=_FUZZ_SOLVER, strict_seed=False, slack=1e-12),
+    "oracle": {"space": {"kind": "finite", "n": 2, "matrix": [[0, 1], [1, 0]]},
+               "maps": [{"id": "coupled_table", "matrix": [[0, 1], [1, 1]]}], "tol": 0.0},
+    "compare": {"campaign": {"instances": 1, "min_points": 2, "max_points": 2, "map_counts": [0]},
+                "solver": _FUZZ_SOLVER},
+}
+_KINDS = {
+    "number": {"slack", "tol", "lo", "hi"},
+    "integer": {"max_iter", "stall_window", "n", "instances", "min_points", "max_points"},
+    "bool": {"require_t0", "strict_seed", "verify_hypotheses"},
+    "list": {"map_counts"},
+    "string": {"output_dir"},
+}
+_WRONG = ["0.5", "", True, False, None, [], [1], {}, 2.5, float("nan"), float("inf"), 10**400, 1, 0]
+_KIND_OK = {
+    "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "integer": lambda v: type(v) is int,
+    "bool": lambda v: type(v) is bool,
+    "list": lambda v: type(v) is list,
+    "string": lambda v: type(v) is str,
+}
+
+
+def _typed_fields(cfg):
+    """(nested object or None, field, kind) of each typed field of cfg."""
+    kind_of = {field: kind for kind, names in _KINDS.items() for field in names}
+    found = [(None, k, kind_of[k]) for k in cfg if k in kind_of]
+    for obj in ("campaign", "solver", "space"):
+        found += [(obj, k, kind_of[k]) for k in cfg.get(obj, {}) if k in kind_of]
+    return found
+
+
+@pytest.mark.parametrize("cmd", sorted(_FUZZ_CONFIGS))
+def test_fuzzed_field_kinds_exit_two(cmd, tmp_path):
+    base = dict(_FUZZ_CONFIGS[cmd], schema="1", output_dir=str(tmp_path / "o"))
+    path = str(tmp_path / "c.json")
+    assert _run(_argv(cmd, _write(path, base)))[0] in (0, 1)
+    fields = _typed_fields(base)
+
+    @given(st.sampled_from(fields), st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def check(field, data):
+        obj, key, kind = field
+        value = data.draw(st.sampled_from([v for v in _WRONG if not _KIND_OK[kind](v)]))
+        cfg = json.loads(json.dumps(base))
+        (cfg if obj is None else cfg[obj])[key] = value
+        code, err = _run(_argv(cmd, _write(path, cfg)))
+        assert code == 2 and err.startswith("config error:") and "Traceback" not in err
+
+    check()
+
+
+def _readme():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        return fh.read()
+
+
+def test_readme_config_values_table_names_every_typed_field():
+    readme = _readme()
+    table = readme[readme.index("| Field | JSON type |"):]
+    table = table[: table.index("\n\n")]
+    first_column = [row.split("|")[1] for row in table.splitlines()]
+    named = {name for cell in first_column for name in re.findall(r"`(\w+)`", cell)}
+    assert set(cli._FIELD_KINDS) <= named
+    # an inline space's n, lo and hi are read by spaces.space_from_json
+    assert set(cli._FIELD_KINDS) | {"n", "lo", "hi"} == set().union(*_KINDS.values())
+
+
+def test_readme_solve_example_runs(tmp_path):
+    readme = _readme()
+    start = readme.index("```json", readme.index("A `solve` config"))
+    cfg = json.loads(readme[start + len("```json"): readme.index("```", start + 3)])
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["solve", "--config", _write(tmp_path / "c.json", cfg)]) == 0

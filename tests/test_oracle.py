@@ -300,6 +300,19 @@ def test_reverse_is_forward_on_the_dual(seed, n, k, t0, verify, metric_mode, sla
                                       for c in iso.counterexamples)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 2), st.booleans(),
+       st.sampled_from(["forward", "reverse"]))
+@settings(max_examples=60, deadline=None)
+def test_solver_metric_mode_is_the_runs_order(seed, n, k, verify, direction):
+    # a symmetrized cfg on a plain context runs, seeds included, as a
+    # symmetrized context with the cfg's mode unset
+    space, ctx, coupled, maps = _instance(seed, n, k)
+    cfg = SolverConfig(max_iter=200, verify_hypotheses=verify, direction=direction)
+    by_cfg = oracle_vs_solver(space, ctx, coupled, maps, replace(cfg, metric_mode="symmetrized"))
+    by_ctx = oracle_vs_solver(space, replace(ctx, metric_mode="symmetrized"), coupled, maps, cfg)
+    assert by_cfg.as_dict() == by_ctx.as_dict()
+
+
 # -- fates: every run's outcome against the oracle's orbit -----------------------
 
 

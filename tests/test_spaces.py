@@ -208,6 +208,53 @@ def test_finite_space_validation():
         finite_space([[0, -1], [1, 0]])
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0, "0.5"], [1, 0]],
+    [[0, 1], [True, 0]],
+    [[0, None], [1, 0]],
+    [[0, [1]], [1, 0]],
+    [[0, 10**400], [1, 0]],
+    [[0, float("nan")], [1, 0]],
+    np.array([[False, True], [True, False]]),
+    np.array([["0", "1"], ["1", "0"]]),
+])
+def test_finite_matrix_entries_are_not_coerced(matrix):
+    # [[0, "0.5"], [true, 0]] used to read as [[0, 0.5], [1, 0]]
+    for build in (finite_space, lambda m: space_from_json({"kind": "finite", "matrix": m}),
+                  lambda m: catalog.get_space("finite", matrix=m)):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(matrix)
+
+
+def test_finite_matrix_takes_python_and_numpy_numbers():
+    want = [[0.0, 0.5], [1.0, 0.0]]
+    for matrix in ([[0, 0.5], [1, 0]], [[np.int64(0), np.float64(0.5)], [1, 0]], np.array(want)):
+        assert finite_space(matrix).matrix.tolist() == want
+    assert finite_space(np.array([[0, 1], [2, 0]])).matrix.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+    for obj in ({"kind": "finite", "matrix": 3}, {"kind": "finite", "matrix": [[0, 1], [1]]},
+                {"kind": "finite", "n": 3, "matrix": want}):
+        with pytest.raises(ValueError):
+            space_from_json(obj)
+    with pytest.raises(ValueError, match="unknown interval distance"):
+        space_from_json({"kind": "interval", "lo": 0, "hi": 1, "dist": ["upper"]})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "interval", "lo": "0.5", "hi": 1}, "lo must be a finite number"),
+    ({"kind": "interval", "lo": 0, "hi": True}, "hi must be a finite number"),
+    ({"kind": "interval", "lo": 0, "hi": float("inf")}, "hi must be a finite number"),
+    ({"kind": "interval", "hi": 1}, r"missing space fields: \['lo'\]"),
+    ({"kind": "interval", "lo": 0, "hi": 1, "n": 2}, r"unknown space fields: \['n'\]"),
+    ({"kind": "finite"}, r"missing space fields: \['matrix'\]"),
+    ({"kind": "finite", "n": 2.0, "matrix": [[0, 1], [1, 0]]}, "n must be the integer size"),
+    ({"kind": "finite", "n": 3, "matrix": [[0, 1], [1, 0]]}, "n must be the integer size"),
+    ({"kind": ["finite"], "matrix": [[0]]}, "unknown space kind"),
+])
+def test_space_from_json_checks_its_fields(obj, message):
+    with pytest.raises(ValueError, match=message):
+        space_from_json(obj)
+
+
 def test_cross_matches_scalar_dist(unit_space):
     pts = unit_space.grid(7)
     mat = unit_space.pairwise(pts)
