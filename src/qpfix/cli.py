@@ -164,35 +164,35 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_atomic(out_dir: str, filename: str, write) -> str:
+def _write_atomic(out_dir: str, filename: str, write) -> None:
     """Have write(tmp) fill a temporary file, then rename it into place,
-    so a reader never sees a half-written file."""
-    os.makedirs(out_dir, exist_ok=True)
+    so a reader never sees a half-written file.  An OSError, such as an
+    output_dir that cannot be created, is a ConfigError."""
     path = os.path.join(out_dir, filename)
     tmp = path + ".tmp"
-    write(tmp)
-    os.replace(tmp, path)
-    return path
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write(tmp)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {filename} to output_dir {out_dir!r}: {exc}")
 
 
-def _write_json(payload: dict, out_dir: str, filename: str = "report.json") -> str:
+def _write_report(payload: dict, out_dir: str) -> None:
     def dump(tmp):  # streamed, so a large report is never one string in memory
         with open(tmp, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
             fh.write("\n")
 
-    return _write_atomic(out_dir, filename, dump)
-
-
-def _write_trace(trace, out_dir: str, filename: str = "trace.csv") -> str:
-    return _write_atomic(out_dir, filename, trace.write_csv)
+    _write_atomic(out_dir, "report.json", dump)
 
 
 # -- subcommands ---------------------------------------------------------
+# Each takes the checked config and the parsed arguments and returns the
+# report.json payload and whether every check passed.
 
 
-def _cmd_check_space(args) -> int:
-    cfg = _load_config(args.config, {"space"}, {"sample", "slack", "require_t0"})
+def _cmd_check_space(cfg, args):
     space = _build_space(cfg["space"])
     slack = float(cfg.get("slack", 1e-12))
     if cfg.get("sample", "default") not in ("default", "exhaustive"):
@@ -201,12 +201,10 @@ def _cmd_check_space(args) -> int:
     axioms = check_axioms(space, pts, slack=slack)
     t0 = check_T0(space, pts, slack=slack)
     ok = axioms.passed and (t0.passed or not cfg.get("require_t0", False))
-    _write_json({"axioms": axioms.as_dict(), "t0": t0.as_dict(), "passed": ok}, cfg["output_dir"])
-    return 0 if ok else 1
+    return {"axioms": axioms.as_dict(), "t0": t0.as_dict(), "passed": ok}, ok
 
 
-def _cmd_check_order(args) -> int:
-    cfg = _load_config(args.config, {"space", "phi"}, {"maps", "sample", "slack", "metric_mode"})
+def _cmd_check_order(cfg, args):
     ctx = _build_ctx(cfg)
     space = ctx.space
     laws = check_preorder_laws(ctx, _sample_points(cfg, space))
@@ -224,12 +222,10 @@ def _cmd_check_order(args) -> int:
             payload["isotone"] = iso.as_dict()
             ok = ok and iso.passed
     payload["passed"] = ok
-    _write_json(payload, cfg["output_dir"])
-    return 0 if ok else 1
+    return payload, ok
 
 
-def _cmd_check_relations(args) -> int:
-    cfg = _load_config(args.config, {"space", "phi", "maps"}, {"relation", "slack", "metric_mode"})
+def _cmd_check_relations(cfg, args):
     ctx = _build_ctx(cfg)
     maps = _build_maps(cfg["maps"])
     if len(maps) != 2:
@@ -241,16 +237,11 @@ def _cmd_check_relations(args) -> int:
     try:
         report = check(ctx, maps[0], maps[1], "exhaustive" if ctx.space.is_finite else "grid")
     except DomainError as exc:  # an image left the carrier: a finding
-        payload = {"kind": relation, "passed": False, "domain_escape": str(exc)}
-        _write_json(payload, cfg["output_dir"])
-        return 1
-    _write_json(report.as_dict(), cfg["output_dir"])
-    return 0 if report.passed else 1
+        return {"kind": relation, "passed": False, "domain_escape": str(exc)}, False
+    return report.as_dict(), report.passed
 
 
-def _cmd_solve(args) -> int:
-    cfg = _load_config(args.config, {"space", "phi", "maps", "scheme", "seed_pair"},
-                       {"solver", "strict_seed", "slack"})
+def _cmd_solve(cfg, args):
     solver_cfg = _build_solver_cfg(cfg.get("solver", {}))
     ctx = _build_ctx(cfg)
     space = ctx.space
@@ -267,12 +258,9 @@ def _cmd_solve(args) -> int:
         try:
             seed = seed_search(run_contexts(ctx, solver_cfg)[2], coupled, space.grid())
         except DomainError as exc:
-            _write_json({"status": "domain_escape", "detail": str(exc)}, cfg["output_dir"])
-            return 1
+            return {"status": "domain_escape", "detail": str(exc)}, False
         if seed is None:
-            payload = {"status": "no_seed", "detail": "no admissible starting pair found"}
-            _write_json(payload, cfg["output_dir"])
-            return 1
+            return {"status": "no_seed", "detail": "no admissible starting pair found"}, False
     elif isinstance(seed_pair, list) and len(seed_pair) == 2:
         # nothing is coerced: 0.7, "1" and true are no carrier points
         kinds, what = ((int,), "integers") if space.is_finite else ((int, float), "numbers")
@@ -285,13 +273,11 @@ def _cmd_solve(args) -> int:
         raise ConfigError('seed_pair must be [x0, y0] or "search"')
 
     report = run_scheme(scheme, ctx, coupled, selfmaps, seed, solver_cfg, strict)
-    _write_trace(report.trace, cfg["output_dir"])
-    _write_json(report.as_dict(trace_ref="trace.csv"), cfg["output_dir"])
-    return 0 if report.status == "converged" else 1
+    _write_atomic(cfg["output_dir"], "trace.csv", report.trace.write_csv)
+    return report.as_dict(trace_ref="trace.csv"), report.status == "converged"
 
 
-def _cmd_oracle(args) -> int:
-    cfg = _load_config(args.config, {"space", "maps"}, {"tol"})
+def _cmd_oracle(cfg, args):
     space = _build_space(cfg["space"])
     if not space.is_finite:
         raise ConfigError("oracle needs a finite space")
@@ -300,12 +286,10 @@ def _cmd_oracle(args) -> int:
         report = enumerate_points(space, maps[0], maps[1:], tol=float(cfg.get("tol", 0.0)))
     except DomainError as exc:
         raise ConfigError(f"bad map: {exc}")
-    _write_json(report.as_dict(), cfg["output_dir"])
-    return 0
+    return report.as_dict(), True
 
 
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config, {"campaign"}, {"solver"})
+def _cmd_compare(cfg, args):
     camp = _checked(cfg["campaign"], "campaign", set(),
                     {"instances", "min_points", "max_points", "map_counts"})
     solver_cfg = _build_solver_cfg(cfg["solver"]) if "solver" in cfg else None
@@ -323,13 +307,24 @@ def _cmd_compare(args) -> int:
                                         map_counts, cfg=solver_cfg)
     except ValueError as exc:  # a solver tol the exact oracle cannot judge
         raise ConfigError(f"bad solver config: {exc}")
-    payload = report.as_dict()
-    payload["seed"] = args.seed
-    _write_json(payload, cfg["output_dir"])
-    return 0 if report.passed else 1
+    return {**report.as_dict(), "seed": args.seed}, report.passed
 
 
 # -- entry point ---------------------------------------------------------
+
+# name: (run, required config fields, optional config fields, takes --seed);
+# every config also gives "schema" and "output_dir"
+_COMMANDS = {
+    "check-space": (_cmd_check_space, {"space"}, {"sample", "slack", "require_t0"}, False),
+    "check-order": (_cmd_check_order, {"space", "phi"},
+                    {"maps", "sample", "slack", "metric_mode"}, False),
+    "check-relations": (_cmd_check_relations, {"space", "phi", "maps"},
+                        {"relation", "slack", "metric_mode"}, False),
+    "solve": (_cmd_solve, {"space", "phi", "maps", "scheme", "seed_pair"},
+              {"solver", "strict_seed", "slack"}, False),
+    "oracle": (_cmd_oracle, {"space", "maps"}, {"tol"}, False),
+    "compare": (_cmd_compare, {"campaign"}, {"solver"}, True),
+}
 
 
 @cache  # built once per process; parse_args leaves it unchanged
@@ -340,21 +335,12 @@ def _parser() -> argparse.ArgumentParser:
         "on preordered asymmetric-distance spaces.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, needs_seed=False):
+    for name, (*_, takes_seed) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to a JSON run config")
-        if needs_seed:
+        if takes_seed:
             sp.add_argument("--seed", required=True, type=int,
                             help="RNG seed (required for reproducibility)")
-        sp.set_defaults(fn=fn)
-
-    add("check-space", _cmd_check_space)
-    add("check-order", _cmd_check_order)
-    add("check-relations", _cmd_check_relations)
-    add("solve", _cmd_solve)
-    add("oracle", _cmd_oracle)
-    add("compare", _cmd_compare, needs_seed=True)
     return p
 
 
@@ -363,11 +349,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    run, required, optional, _ = _COMMANDS[args.command]
     try:
-        return args.fn(args)
+        cfg = _load_config(args.config, required, optional)
+        payload, passed = run(cfg, args)
+        _write_report(payload, cfg["output_dir"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 def console() -> None:

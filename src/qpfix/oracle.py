@@ -27,7 +27,7 @@ from .solvers import (
     scheme_for,
     scheme_phases,
 )
-from .spaces import DomainError, QPSpace, UnsupportedError, finite_space
+from .spaces import DomainError, QPSpace, Report, UnsupportedError, finite_space
 
 ORACLE_POINT_CAP = 1024
 
@@ -246,28 +246,14 @@ SolverFn = Callable[[PreorderCtx, CoupledMap, Sequence[SelfMap], tuple, SolverCo
 
 
 @dataclass
-class AgreementReport:
+class AgreementReport(Report):
+    findings = ("disagreements",)
     scheme: str
     seeds: list
     runs: int
     converged: int
     disagreements: list
     no_seeds: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.disagreements
-
-    def as_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "passed": self.passed,
-            "seeds": [list(s) for s in self.seeds],
-            "runs": self.runs,
-            "converged": self.converged,
-            "no_seeds": self.no_seeds,
-            "disagreements": self.disagreements,
-        }
 
 
 def _fate(step, cycle: list, target: set, seed: tuple) -> dict:
@@ -428,26 +414,13 @@ def oracle_vs_solver(
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(Report):
+    findings = ("disagreements",)
     instances: int
     total_seeds: int
     total_converged: int
     no_seed_instances: int
     disagreements: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.disagreements
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "instances": self.instances,
-            "total_seeds": self.total_seeds,
-            "total_converged": self.total_converged,
-            "no_seed_instances": self.no_seed_instances,
-            "disagreements": self.disagreements,
-        }
 
 
 def run_agreement_campaign(

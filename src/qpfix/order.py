@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .spaces import Point, QPSpace, UnsupportedError, resolve_sample
+from .spaces import Point, QPSpace, Report, UnsupportedError, resolve_sample
 
 DEFAULT_ORDER_SLACK = 1e-12
 ISOTONE_GRID_POINTS = 11
@@ -106,22 +106,11 @@ def relation_matrix(ctx: PreorderCtx, points: Sequence[Point]) -> np.ndarray:
 
 
 @dataclass
-class LawReport:
+class LawReport(Report):
+    findings = ("reflexivity_violations", "transitivity_violations")
     reflexivity_violations: list  # points
     transitivity_violations: list  # (x, y, z)
     checked_points: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.reflexivity_violations and not self.transitivity_violations
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked_points": self.checked_points,
-            "reflexivity_violations": list(self.reflexivity_violations),
-            "transitivity_violations": [list(v) for v in self.transitivity_violations],
-        }
 
 
 def check_preorder_laws(
@@ -143,22 +132,11 @@ def check_preorder_laws(
 
 
 @dataclass
-class IsotoneReport:
+class IsotoneReport(Report):
+    findings = ("counterexamples",)
     counterexamples: list  # dicts with the tuple and both image points
     checked: int
     applicable: int  # tuples whose premises held
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "applicable": self.applicable,
-            "counterexamples": self.counterexamples,
-        }
 
 
 def _index_points(space: QPSpace, points: Iterable[Point]) -> tuple[list, np.ndarray]:
@@ -306,26 +284,13 @@ def seed_search(
 
 
 @dataclass
-class BoundReport:
+class BoundReport(Report):
+    findings = ("violations",)
     direction: str
     declared_bound: float
     max_attained: float
     min_attained: float
     violations: list  # (point, value)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "direction": self.direction,
-            "declared_bound": self.declared_bound,
-            "max_attained": self.max_attained,
-            "min_attained": self.min_attained,
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 def check_phi_bound(phi: PhiFn, sample: Sequence[Point]) -> BoundReport:

@@ -8,8 +8,10 @@ A pair {F, g} is weakly left-related when, for every (x, y):
 
 Weak right-relatedness (D1/D2) reverses every inequality, so it is C1/C2
 on ``order.dual(ctx)``, read back by :func:`mirrored` with lhs and rhs
-swapped.  A compared image outside the carrier raises DomainError naming
-the image its step produces first (F(x, y), or g(x)), on either side.
+swapped.  An image outside the carrier raises DomainError when it is
+produced (F(x, y), g(x), g(y) and F(y, x), which a map reads next) or
+compared (the others), so the error names the first image outside, on
+either side.
 These are universally quantified hypotheses; on interval carriers the
 checkers report grid evidence only.
 """
@@ -22,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .order import CoupledMap, PreorderCtx, SelfMap, dual, induced_leq
 from .sequences import SequenceWindow, detect_limit
-from .spaces import Point, QPSpace
+from .spaces import Point, QPSpace, Report
 
 RELATION_GRID_POINTS = 11
 
@@ -47,15 +49,12 @@ class RelViolation:
 
 
 @dataclass
-class RelReport:
+class RelReport(Report):
+    findings = ("violations",)
     kind: str  # "left" | "right"
     violations: list
     checked: int
     slack: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
     def as_dict(self) -> dict:
         return {
@@ -81,15 +80,17 @@ def relate_pair_left(
 ) -> Optional[RelViolation]:
     """C1/C2 at a single pair; first failing sub-condition, or None.
 
-    Each step tests a below b.  Maps are evaluated lazily, in step order.
+    Each step tests a below b.  Maps are evaluated lazily, in step order,
+    and each image that a map reads next is required when it is produced.
     """
+    require = ctx.space.require
 
     def steps():
-        fxy = coupled(x, y)
+        fxy = require(coupled(x, y))
         yield "C1", 1, fxy, g(fxy)
-        gx, gy = g(x), g(y)
+        gx, gy = require(g(x)), require(g(y))
         yield "C1", 2, gx, coupled(gx, gy)
-        fyx = coupled(y, x)
+        fyx = require(coupled(y, x))
         yield "C2", 1, fyx, g(fyx)
         yield "C2", 2, gy, coupled(gy, gx)
 

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .spaces import Point, QPSpace
+from .spaces import Point, QPSpace, Report
 
 
 @dataclass(frozen=True)
@@ -317,15 +317,9 @@ def detect_limit(
 
 
 @dataclass
-class ChainReport:
+class ChainReport(Report):
+    findings = ("inconsistencies",)
     inconsistencies: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.inconsistencies
-
-    def as_dict(self) -> dict:
-        return {"passed": self.passed, "inconsistencies": list(self.inconsistencies)}
 
 
 def check_implication_chain(

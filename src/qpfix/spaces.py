@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -277,7 +277,8 @@ def finite_space(matrix: Iterable[Iterable[float]], name: str = "finite") -> QPS
         bad = [v for v in m.flat if not is_finite_number(v)]
         if bad:
             raise ValueError(f"distance matrix entries must be finite numbers, got {bad[0]!r}")
-    m = np.ascontiguousarray(m, dtype=float)
+    m = np.array(m, dtype=float)  # a copy, read-only, so it cannot drift from dist's rows
+    m.flags.writeable = False
     if not np.isfinite(m).all():
         raise ValueError("distance matrix entries must be finite")
     if (m < 0).any():
@@ -312,43 +313,42 @@ def resolve_sample(
 
 
 @dataclass
-class AxiomReport:
+class Report:
+    """A check's findings: it passes when each field named in ``findings``
+    is empty, and its JSON form is ``passed`` plus every field, with each
+    tuple inside a list field read as a list."""
+
+    findings: ClassVar[tuple]
+
+    @property
+    def passed(self) -> bool:
+        return not any(getattr(self, name) for name in self.findings)
+
+    def as_dict(self) -> dict:
+        out = {"passed": self.passed}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, list):
+                v = [list(e) if isinstance(e, tuple) else e for e in v]
+            out[f.name] = v
+        return out
+
+
+@dataclass
+class AxiomReport(Report):
+    findings = ("identity_violations", "triangle_violations")
     identity_violations: list  # (point, d(x,x))
     triangle_violations: list  # (x, y, z, d(x,z), d(x,y)+d(y,z))
     sample_size: int
     slack: float
 
-    @property
-    def passed(self) -> bool:
-        return not self.identity_violations and not self.triangle_violations
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "sample_size": self.sample_size,
-            "slack": self.slack,
-            "identity_violations": [list(v) for v in self.identity_violations],
-            "triangle_violations": [list(v) for v in self.triangle_violations],
-        }
-
 
 @dataclass
-class T0Report:
+class T0Report(Report):
+    findings = ("violations",)
     violations: list  # (x, y, d(x,y), d(y,x)) with x != y and both ~0
     sample_size: int
     slack: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "sample_size": self.sample_size,
-            "slack": self.slack,
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 # Cells of the triangle-excess tensor built at once by check_axioms.

@@ -155,6 +155,61 @@ def test_check_relations_reports_domain_escape(tmp_path):
     assert "point 2.0 is not in the carrier" in report["domain_escape"]
 
 
+# an image that leaves the carrier before a map reads it used to end in a
+# traceback (math domain error or IndexError); now it is a domain escape
+AFFINE_OUT = {"id": "coupled_affine", "a": 0.25, "b": 0.25, "c": -0.5}  # F(0, 0) = -0.5
+SQRT_CONFIG = {"schema": "1", "space": {"id": "upper_interval"}, "phi": {"id": "identity"},
+               "maps": [AFFINE_OUT, {"id": "sqrt_pull"}]}
+TABLE_CONFIG = {  # F(0, 0) = 5 is no point of three
+    "schema": "1",
+    "space": {"kind": "finite", "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+    "phi": {"id": "table", "values": [0, 0, 0]},
+    "slack": 0,
+    "maps": [{"id": "coupled_table", "matrix": [[5, 0, 0], [0, 0, 0], [0, 0, 0]]},
+             {"id": "table", "values": [0, 1, 2]}],
+}
+
+
+@pytest.mark.parametrize("base, relation, point", [
+    (SQRT_CONFIG, "left", "-0.5"),
+    (SQRT_CONFIG, "right", "-0.5"),
+    (TABLE_CONFIG, "left", "5"),
+])
+def test_check_relations_reports_an_image_escaping_before_it_is_read(tmp_path, base, relation,
+                                                                     point):
+    out = str(tmp_path / "out")
+    cfg = dict(base, relation=relation, output_dir=out)
+    code, err = _run(["check-relations", "--config", _write(tmp_path / "c.json", cfg)])
+    assert (code, err) == (1, "")
+    report = _read_report(out)
+    assert (report["kind"], report["passed"]) == (relation, False)
+    assert report["domain_escape"].startswith(f"point {point} is not in the carrier")
+
+
+def test_verified_solve_reports_an_image_escaping_before_it_is_read(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = dict(SQRT_CONFIG, maps=SQRT_CONFIG["maps"] + [{"id": "identity"}], scheme="triple",
+               seed_pair=[0.5, 0.5], solver={"verify_hypotheses": True}, output_dir=out)
+    code, err = _run(["solve", "--config", _write(tmp_path / "c.json", cfg)])
+    assert (code, err) == (1, "")
+    report = _read_report(out)
+    assert report["status"] == "domain_escape"
+    assert report["violation"]["detail"] == \
+        "point -0.25 is not in the carrier of upper_interval[0.0,1.0]"
+
+
+@pytest.mark.parametrize("output_dir", ["", "/dev/null/x"])
+def test_an_output_dir_that_cannot_be_created_exits_two(tmp_path, output_dir):
+    # these used to end in a FileNotFoundError or NotADirectoryError traceback
+    cases = [("check-space", {"schema": "1", "space": {"id": "upper_interval"}}),
+             ("solve", PAIR_CONFIG)]
+    for cmd, base in cases:
+        cfg = dict(base, output_dir=output_dir)
+        code, err = _run([cmd, "--config", _write(tmp_path / "c.json", cfg)])
+        assert code == 2 and err.startswith("config error:") and "output_dir" in err, (cmd, err)
+        assert "Traceback" not in err
+
+
 def test_check_space_planted_violation(tmp_path):
     out = str(tmp_path / "out")
     cfg = {

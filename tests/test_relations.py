@@ -178,6 +178,24 @@ def test_right_check_names_the_image_produced_first(unit_ctx):
     assert report.violation.detail == "point 2.0 is not in the carrier of upper_interval[0.0,1.0]"
 
 
+def test_an_escaping_image_raises_where_it_is_produced(unit_ctx):
+    # at (0.5, 1.0) part 1 holds and g(1.0) = 2.0 leaves [0, 1]; the
+    # reference read on to a part 2 violation, F(0.5, 2.0) = 0.0, and
+    # would have named 2.0 only at part 4
+    F = CoupledMap(lambda a, b: a if b <= 1 else 0.0, name="F")
+    g = SelfMap(lambda a: 2.0 if a > 0.75 else a, name="g")
+    v = _relate_pair("left", unit_ctx, F, g, 0.5, 1.0)
+    assert (v.condition, v.part, v.lhs, v.rhs) == ("C1", 2, 0.5, 0.0)
+    with pytest.raises(DomainError, match=r"point 2\.0 is not in the carrier"):
+        relate_pair_left(unit_ctx, F, g, 0.5, 1.0)
+    # an image a map reads next is checked before the map reads it
+    sqrt = catalog.get_map("sqrt_pull")
+    F = catalog.get_map("coupled_affine", a=0.25, b=0.25, c=-0.5)
+    for relate in (relate_pair_left, relate_pair_right):
+        with pytest.raises(DomainError, match=r"point -0\.5 is not in the carrier"):
+            relate(unit_ctx, F, sqrt, 0.0, 0.0)
+
+
 def test_relation_report_json(unit_ctx):
     report = check_weakly_left_related(unit_ctx, F_MAX, HALVE, [(0.5, 0.5)])
     payload = report.as_dict()

@@ -226,6 +226,16 @@ def test_finite_matrix_entries_are_not_coerced(matrix):
             build(matrix)
 
 
+def test_finite_space_copies_the_matrix_and_freezes_it():
+    m = np.array([[0.0, 0.0], [1.0, 0.0]])
+    s = finite_space(m)
+    m[0, 1] = 5.0  # the caller's array changes; the space does not
+    assert s.matrix[0, 1] == s.cross([0], [1])[0, 0] == s.dist(0, 1) == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.matrix[0, 1] = 5.0
+    assert s.dist(0, 1) == 0.0
+
+
 def test_finite_matrix_takes_python_and_numpy_numbers():
     want = [[0.0, 0.5], [1.0, 0.0]]
     for matrix in ([[0, 0.5], [1, 0]], [[np.int64(0), np.float64(0.5)], [1, 0]], np.array(want)):
