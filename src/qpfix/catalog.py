@@ -14,8 +14,7 @@ from typing import Union
 import numpy as np
 
 from .order import CoupledMap, PhiFn, SelfMap
-from .spaces import (QPSpace, _lower_interval_space, finite_space, is_finite_number,
-                     upper_interval_space)
+from .spaces import QPSpace, _signed_interval, finite_space, is_finite_number
 
 
 class CatalogError(LookupError):
@@ -50,8 +49,7 @@ def _space(space_id: str, params: dict) -> QPSpace:
     if space_id in ("upper_interval", "lower_interval"):
         lo = _number(params, "lo", 0.0)
         hi = _number(params, "hi", 1.0)
-        build = upper_interval_space if space_id == "upper_interval" else _lower_interval_space
-        return build(lo, hi)
+        return _signed_interval(lo, hi, 1 if space_id == "upper_interval" else -1)
     if space_id == "finite":
         matrix = params.pop("matrix")
         return finite_space(matrix)

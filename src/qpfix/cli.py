@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import fields
 from functools import cache
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -179,12 +180,8 @@ def _write_atomic(out_dir: str, filename: str, write) -> None:
 
 
 def _write_report(payload: dict, out_dir: str) -> None:
-    def dump(tmp):  # streamed, so a large report is never one string in memory
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-            fh.write("\n")
-
-    _write_atomic(out_dir, "report.json", dump)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    _write_atomic(out_dir, "report.json", lambda tmp: Path(tmp).write_text(text))
 
 
 # -- subcommands ---------------------------------------------------------

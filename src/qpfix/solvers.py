@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .order import CoupledMap, PreorderCtx, SelfMap, admissible_seed, induced_leq, oriented
+from .order import CoupledMap, PreorderCtx, SelfMap, induced_leq, oriented
 from .relations import mirrored, relate_pair_left
 from .spaces import DomainError, Point, QPSpace
 
@@ -230,11 +230,16 @@ def _prepare(
     names = _unique_names(selfmaps)
     named = list(zip(names, selfmaps))
     labelled = [(coupled.name, "F")] + list(zip(names, phase_maps))
+    # The seed must be below its image under the cycle's first map, when
+    # that map is F or strict_seed is set.
+    seed_map = cycle[0] if cycle[0] == "F" or strict_seed else None
+    seed_blame = ((None, "starting pair is not below its image") if seed_map == "F" else
+                  (seed_map, "strict mode: starting pair is not below its first image"))
     # On a finite carrier the run is a deterministic map on the round-start
     # state (x, y, stall), so a repeated state proves that it cycles
     # forever.  Round 0 is left out when nothing has checked the link
     # from the seed to its first image, since a later pass would check it.
-    first_link_checked = not cfg.verify_hypotheses or cycle[0] == "F" or strict_seed
+    first_link_checked = not cfg.verify_hypotheses or seed_map is not None
     # On a finite carrier each map image (checked when produced), phi value
     # and residual table is cached, keyed on the points and their types; a
     # raised escape is never cached.  An interval's points seldom repeat,
@@ -255,6 +260,27 @@ def _prepare(
         return _residuals(space, [(name, image(label, px, py), image(label, py, px))
                                   for name, label in labelled], px, py)
 
+    # Each returns the first hypothesis broken at index n as a violation, or None.
+    def broken_at_round(n, x, y):  # the seed at round 0, then C1/C2 (D1/D2) per self map
+        if n == 0 and seed_map is not None:
+            nx, ny = raw(seed_map, x, y), raw(seed_map, y, x)
+            if not (induced_leq(octx, x, nx) and induced_leq(octx, y, ny)):
+                return SolverViolation("seed", 0, (x, y), *seed_blame)
+        for name, m in named:
+            if (v := read(relate_pair_left(octx, coupled, m, x, y))) is not None:
+                return SolverViolation(v.condition, n, v.pair, name,
+                                       f"part {v.part}: {v.lhs!r} not below {v.rhs!r}")
+        return None
+
+    def broken_at_link(n, px, x, py, y):  # the order chain, then phi, from row n - 1 to row n
+        if not (induced_leq(octx, px, x) and induced_leq(octx, py, y)):
+            return SolverViolation("chain", n, (px, x, py, y), None, "trace broke the order chain")
+        if not (octx.phi(x) >= octx.phi(px) - octx.slack
+                and octx.phi(y) >= octx.phi(py) - octx.slack):
+            return SolverViolation("phi_monotone", n, (px, x, py, y), None,
+                                   "phi moved the wrong way beyond slack")
+        return None
+
     def run(seed: tuple) -> SolverReport:
         x, y = seed
         require(x)
@@ -266,16 +292,6 @@ def _prepare(
         stall = 0
         final_steps_set = False
 
-        def fail(cond, witness, map_name=None, detail=""):
-            nonlocal status, violation
-            status = "hypothesis_violated"
-            violation = SolverViolation(cond, n, witness, map_name, detail)
-
-        def residual_pass(px, py):
-            nonlocal residuals
-            residuals = residuals_at(px, py)
-            return max(residuals[2].values()) <= cfg.tol
-
         def escape(exc, index, witness, map_name=None):
             nonlocal status, violation
             status = "domain_escape"
@@ -285,18 +301,6 @@ def _prepare(
         cycle_at = None
         residuals = ({}, {}, {})
         try:
-            if cfg.verify_hypotheses:
-                # the seed hypothesis ties the seed to F, so it binds only when F
-                # comes first in the cycle
-                if cycle[0] == "F":
-                    if not admissible_seed(octx, coupled, x, y):
-                        fail("seed", (x, y), detail="starting pair is not below its image")
-                elif strict_seed:
-                    nx, ny = raw(cycle[0], x, y), raw(cycle[0], y, x)
-                    if not (induced_leq(octx, x, nx) and induced_leq(octx, y, ny)):
-                        fail("seed", (x, y), map_name=cycle[0],
-                             detail="strict mode: starting pair is not below its first image")
-
             while status is None:
                 if seen is not None and (n or first_link_checked):
                     start = seen.setdefault((x, y, stall), n)
@@ -304,15 +308,9 @@ def _prepare(
                         status = "periodic"
                         cycle_at = (start, n - start)
                         break
-                if cfg.verify_hypotheses:
-                    for name, m in named:
-                        v = read(relate_pair_left(octx, coupled, m, x, y))
-                        if v is not None:
-                            fail(v.condition, v.pair, map_name=name,
-                                 detail=f"part {v.part}: {v.lhs!r} not below {v.rhs!r}")
-                            break
-                    if status is not None:
-                        break
+                if cfg.verify_hypotheses and (violation := broken_at_round(n, x, y)):
+                    status = "hypothesis_violated"
+                    break
 
                 # probe one full cycle, checking and measuring each image once;
                 # an exactly stationary cycle converges now
@@ -335,7 +333,7 @@ def _prepare(
                     px, py = nx, ny
                 if status is not None:
                     break
-                if stationary and residual_pass(x, y):
+                if stationary and max((residuals := residuals_at(x, y))[2].values()) <= cfg.tol:
                     rows[-1].step_x = 0.0
                     rows[-1].step_y = 0.0
                     final_steps_set = True
@@ -347,21 +345,14 @@ def _prepare(
                     rows[-1].step_y = step_y
                     n += 1
                     rows.append(TraceRow(n, nx, ny, phi(nx), phi(ny), 0.0, 0.0, label))
-                    prev_x, prev_y = x, y
-                    x, y = nx, ny
-                    if cfg.verify_hypotheses and n >= 2:
-                        if not (induced_leq(octx, prev_x, x) and induced_leq(octx, prev_y, y)):
-                            fail("chain", (prev_x, x, prev_y, y),
-                                 detail="trace broke the order chain")
-                            break
-                        if not (octx.phi(x) >= octx.phi(prev_x) - octx.slack
-                                and octx.phi(y) >= octx.phi(prev_y) - octx.slack):
-                            fail("phi_monotone", (prev_x, x, prev_y, y),
-                                 detail="phi moved the wrong way beyond slack")
-                            break
+                    prev_x, prev_y, x, y = x, y, nx, ny
+                    if (cfg.verify_hypotheses and n >= 2
+                            and (violation := broken_at_link(n, prev_x, x, prev_y, y))):
+                        status = "hypothesis_violated"
+                        break
                     stall = stall + 1 if sstep < cfg.tol else 0
                     if stall >= cfg.stall_window:
-                        if residual_pass(x, y):
+                        if max((residuals := residuals_at(x, y))[2].values()) <= cfg.tol:
                             status = "converged"
                             break
                         stall = 0

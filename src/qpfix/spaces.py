@@ -195,34 +195,25 @@ class QPSpace:
 
     def conjugate(self) -> "QPSpace":
         """Same carrier with the argument order reversed pointwise."""
-        base = self.dist_fn
-        cross = None
-        if self.matrix is None and self.cross_fn is not None:
-            inner = self.cross_fn
-            cross = lambda a, b: np.asarray(inner(b, a)).T
-        return QPSpace(
-            carrier=self.carrier,
-            dist_fn=lambda x, y: base(y, x),
-            name=f"conj({self.name})",
-            matrix=None if self.matrix is None else np.ascontiguousarray(self.matrix.T),
-            cross_fn=cross,
-            sign=None if self.sign is None else -self.sign,
-        )
+        name = f"conj({self.name})"
+        if self.matrix is not None:
+            return _matrix_space(self.matrix.T, name)
+        if self.sign is not None:
+            return _signed_interval(self.carrier.lo, self.carrier.hi, -self.sign, name)
+        base, inner = self.dist_fn, self.cross_fn
+        cross = None if inner is None else (lambda a, b: np.asarray(inner(b, a)).T)
+        return QPSpace(self.carrier, lambda x, y: base(y, x), name=name, cross_fn=cross)
 
     def sup_metric(self) -> "QPSpace":
         """Pointwise max of the distance and its conjugate (symmetric)."""
-        base = self.dist_fn
-        cross = None
-        if self.matrix is None and self.cross_fn is not None:
-            inner = self.cross_fn
-            cross = lambda a, b: np.maximum(inner(a, b), np.asarray(inner(b, a)).T)
-        return QPSpace(
-            carrier=self.carrier,
-            dist_fn=lambda x, y: max(base(x, y), base(y, x)),
-            name=f"sup({self.name})",
-            matrix=None if self.matrix is None else np.maximum(self.matrix, self.matrix.T),
-            cross_fn=cross,
-        )
+        name = f"sup({self.name})"
+        if self.matrix is not None:
+            return _matrix_space(np.maximum(self.matrix, self.matrix.T), name)
+        base, inner = self.dist_fn, self.cross_fn
+        cross = None if inner is None else (
+            lambda a, b: np.maximum(inner(a, b), np.asarray(inner(b, a)).T))
+        return QPSpace(self.carrier, lambda x, y: max(base(x, y), base(y, x)), name=name,
+                       cross_fn=cross)
 
     def sup_dist(self, x: Point, y: Point) -> float:
         self.require(x)
@@ -251,20 +242,19 @@ def interval_space(
     return QPSpace(IntervalCarrier(float(lo), float(hi)), dist_fn, name=name, cross_fn=cross_fn)
 
 
-def upper_interval_space(lo: float, hi: float) -> QPSpace:
-    """[lo, hi] with the upper quasi-metric d(x, y) = max(x - y, 0)."""
+def _signed_interval(lo: float, hi: float, sign: int, name: Optional[str] = None) -> QPSpace:
+    """[lo, hi] with d(x, y) = max(sign * (x - y), 0): the upper quasi-metric
+    for sign 1, the lower for -1.  The difference is taken in that order, not
+    negated, so that d(x, x) is 0.0 and never -0.0."""
     lo, hi = float(lo), float(hi)
-    return QPSpace(IntervalCarrier(lo, hi), lambda x, y: max(x - y, 0.0),
-                   name=f"upper_interval[{lo},{hi}]", sign=1,
-                   cross_fn=lambda a, b: np.maximum(a[:, None] - b[None, :], 0.0))
-
-
-def _lower_interval_space(lo: float, hi: float) -> QPSpace:
-    """[lo, hi] with the lower quasi-metric d(x, y) = max(y - x, 0)."""
-    lo, hi = float(lo), float(hi)
-    return QPSpace(IntervalCarrier(lo, hi), lambda x, y: max(y - x, 0.0),
-                   name=f"lower_interval[{lo},{hi}]", sign=-1,
-                   cross_fn=lambda a, b: np.maximum(b[None, :] - a[:, None], 0.0))
+    if sign > 0:
+        dist = lambda x, y: max(x - y, 0.0)
+        cross = lambda a, b: np.maximum(a[:, None] - b[None, :], 0.0)
+    else:
+        dist = lambda x, y: max(y - x, 0.0)
+        cross = lambda a, b: np.maximum(b[None, :] - a[:, None], 0.0)
+    name = name or f"{'upper' if sign > 0 else 'lower'}_interval[{lo},{hi}]"
+    return QPSpace(IntervalCarrier(lo, hi), dist, name=name, sign=sign, cross_fn=cross)
 
 
 def finite_space(matrix: Iterable[Iterable[float]], name: str = "finite") -> QPSpace:
@@ -277,19 +267,22 @@ def finite_space(matrix: Iterable[Iterable[float]], name: str = "finite") -> QPS
         bad = [v for v in m.flat if not is_finite_number(v)]
         if bad:
             raise ValueError(f"distance matrix entries must be finite numbers, got {bad[0]!r}")
-    m = np.array(m, dtype=float)  # a copy, read-only, so it cannot drift from dist's rows
-    m.flags.writeable = False
+    m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("distance matrix entries must be finite")
     if (m < 0).any():
         raise ValueError("distance matrix entries must be nonnegative")
+    return _matrix_space(m, name)
+
+
+def _matrix_space(m: np.ndarray, name: str) -> QPSpace:
+    """The finite space of a checked distance matrix.  It keeps a read-only
+    copy, so that the matrix cannot drift from the rows that dist reads."""
+    m = np.array(m, dtype=float, order="C")
+    m.flags.writeable = False
     rows = m.tolist()  # Python lists index faster than numpy scalars
-    return QPSpace(
-        FiniteCarrier(m.shape[0]),
-        lambda x, y: rows[int(x)][int(y)],
-        name=name,
-        matrix=m,
-    )
+    return QPSpace(FiniteCarrier(m.shape[0]), lambda x, y: rows[int(x)][int(y)], name=name,
+                   matrix=m)
 
 
 # -- axiom checks ------------------------------------------------------
@@ -450,5 +443,4 @@ def space_from_json(obj: dict) -> QPSpace:
     for key in ("lo", "hi"):
         if not is_finite_number(obj[key]):
             raise ValueError(f"{key} must be a finite number, got {obj[key]!r}")
-    build = upper_interval_space if dist == "upper" else _lower_interval_space
-    return build(obj["lo"], obj["hi"])
+    return _signed_interval(obj["lo"], obj["hi"], 1 if dist == "upper" else -1)

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -331,15 +332,13 @@ def test_same_seed_produces_identical_bytes(tmp_path):
     main(["compare", "--config", _write(tmp_path / "c1.json", cfg), "--seed", "7"])
     cfg["output_dir"] = str(tmp_path / "b")
     main(["compare", "--config", _write(tmp_path / "c2.json", cfg), "--seed", "7"])
-    a = open(tmp_path / "a" / "report.json", "rb").read()
-    b = open(tmp_path / "b" / "report.json", "rb").read()
-    assert a == b
+    assert (tmp_path / "a/report.json").read_bytes() == (tmp_path / "b/report.json").read_bytes()
 
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     main(["solve", "--config", _write(tmp_path / "s1.json", dict(PAIR_CONFIG, output_dir=out1))])
     main(["solve", "--config", _write(tmp_path / "s2.json", dict(PAIR_CONFIG, output_dir=out2))])
-    assert open(out1 + "/trace.csv", "rb").read() == open(out2 + "/trace.csv", "rb").read()
-    assert open(out1 + "/report.json", "rb").read() == open(out2 + "/report.json", "rb").read()
+    for name in ("trace.csv", "report.json"):
+        assert (Path(out1) / name).read_bytes() == (Path(out2) / name).read_bytes()
 
 
 def test_config_error_paths(tmp_path):

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,8 +42,9 @@ from qpfix.solvers import (
     run_scheme,
     scheme_for,
     scheme_phases,
+    triple_iterate,
 )
-from qpfix.spaces import DomainError, Point, QPSpace
+from qpfix.spaces import DomainError, Point, QPSpace, finite_space
 from reference_order import _phi_ok, admissible_seed, directed_leq
 
 # -- the reference: the solver loop before runs were prepared, verbatim ----------
@@ -456,3 +458,62 @@ def test_interval_runs_match_the_reference(space_id, f, gs, phi, direction, mode
     want = reference_run_scheme(scheme, ctx, coupled, maps, seed, cfg, strict)
     got = run_scheme(scheme, ctx, coupled, maps, seed, cfg, strict)
     assert fingerprint(got) == fingerprint(want)
+
+
+# -- what verification may change ------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_verification_reads_the_run_and_may_only_end_it(data):
+    # A verified run V and an unverified run U agree row for row while both
+    # last.  V may end first, on a broken hypothesis or on an escape met by
+    # a check (C1/C2 evaluate F(g(x), g(y)), which no run does).  When the
+    # seed's link is unchecked, round 0 cannot prove a cycle, so V may also
+    # run longer than U.
+    n = data.draw(st.integers(1, 6), label="n")
+    k = data.draw(st.integers(0, 3), label="k")
+    escape = data.draw(st.booleans(), label="escape")
+    space, ctx, coupled, maps = random_instance(data, n, k, escape)
+    scheme = data.draw(st.sampled_from(SCHEMES_FOR[k]), label="scheme")
+    cfg = SolverConfig(
+        tol=data.draw(st.sampled_from([1e-9, 0.3, 1.1]), label="tol"),
+        max_iter=data.draw(st.sampled_from([1, 2, 7, 200]), label="max_iter"),
+        direction=data.draw(st.sampled_from(["forward", "reverse"]), label="direction"),
+        metric_mode=data.draw(st.sampled_from([None, "plain", "symmetrized"]), label="mode"),
+    )
+    strict = data.draw(st.booleans(), label="strict_seed")
+    plain = _prepare(scheme, ctx, coupled, maps, cfg, strict)
+    verified = _prepare(scheme, ctx, coupled, maps, replace(cfg, verify_hypotheses=True), strict)
+    first_link_checked = scheme_phases(scheme, maps)[0][0] == "F" or strict
+    for seed in [(a, b) for a in range(n) for b in range(n)]:
+        u, v = plain(seed), verified(seed)
+        u_rows, v_rows = ([(r.n, r.x, r.y, r.phase) for r in w.trace.rows] for w in (u, v))
+        common = min(len(u_rows), len(v_rows))
+        assert u_rows[:common] == v_rows[:common]
+        if first_link_checked:
+            assert ((v.status, v.cycle, v_rows) == (u.status, u.cycle, u_rows)
+                    or v.status in ("hypothesis_violated", "domain_escape")
+                    and len(v_rows) <= len(u_rows))
+
+
+@pytest.mark.parametrize("verify, strict, cycle", [
+    (False, False, (0, 6)),
+    # H's link from the seed is unchecked, so round 0's state cannot prove
+    # the cycle: it is proved from round 1, whose state recurs at index 9
+    (True, False, (3, 6)),
+    (True, True, (0, 6)),
+])
+def test_a_recurring_round_zero_state_proves_a_cycle_once_its_link_is_checked(verify, strict,
+                                                                                cycle):
+    # slack 1 relates every pair, so every check passes; each map flips
+    # both points, so rounds start at (0, 0) and (1, 1) in turn, stall 0
+    ctx = PreorderCtx(finite_space([[0, 1], [1, 0]]),
+                      catalog.get_phi("table", values=[0, 0]), slack=1.0)
+    coupled = CoupledMap(lambda a, b: 1 - a, name="flip")
+    maps = [SelfMap(lambda a: 1 - a, name="g"), SelfMap(lambda a: 1 - a, name="h")]
+    cfg = SolverConfig(verify_hypotheses=verify)
+    report = triple_iterate(ctx, coupled, *maps, (0, 0), cfg, strict_seed=strict)
+    assert (report.status, report.cycle) == ("periodic", cycle)
+    want = reference_run_scheme("triple", ctx, coupled, maps, (0, 0), cfg, strict)
+    assert fingerprint(report) == fingerprint(want)

@@ -236,6 +236,31 @@ def test_finite_space_copies_the_matrix_and_freezes_it():
     assert s.dist(0, 1) == 0.0
 
 
+def test_derived_finite_spaces_are_frozen_and_read_their_own_matrix():
+    rng = np.random.default_rng(3)
+    for space in [finite_space([[0, 1], [2, 0]])] + [random_finite_space(rng, n) for n in (3, 6)]:
+        conj = space.conjugate()
+        for derived in (conj, space.sup_metric(), conj.conjugate(), conj.sup_metric()):
+            m = derived.matrix
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, -1] = 5.0
+            n = derived.carrier.size
+            assert [[derived.dist(i, j) for j in range(n)] for i in range(n)] == m.tolist()
+        assert conj.matrix.tolist() == space.matrix.T.tolist()
+
+
+def test_the_conjugate_of_a_signed_interval_is_the_other_sign():
+    pts = [0.0, -0.0, 0.25, 0.5, 1.0]
+    for space_id in ("upper_interval", "lower_interval"):
+        space = catalog.get_space(space_id)
+        conj = space.conjugate()
+        assert (conj.sign, conj.name) == (-space.sign, f"conj({space.name})")
+        # the same floats as the arguments swapped, signed zeros included
+        assert ([repr(conj.dist(a, b)) for a in pts for b in pts]
+                == [repr(space.dist(b, a)) for a in pts for b in pts])
+        assert conj.cross(pts, pts).tolist() == space.cross(pts, pts).T.tolist()
+
+
 def test_finite_matrix_takes_python_and_numpy_numbers():
     want = [[0.0, 0.5], [1.0, 0.0]]
     for matrix in ([[0, 0.5], [1, 0]], [[np.int64(0), np.float64(0.5)], [1, 0]], np.array(want)):
