@@ -2,7 +2,8 @@
 configs, writing reports and traces for scripts and CI.
 
 Exit codes: 0 all checks passed / run converged, 1 a violation or
-non-convergence was found (and reported), 2 usage or config error.
+non-convergence was found (and reported), 2 usage or config error, and
+3 (from the console script only) a crash, its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
@@ -124,10 +126,33 @@ def _sample_points(cfg: dict, space) -> list:
         raise ConfigError(f"bad sample {sample!r}: {exc}")
 
 
+# The catalog entries that are tables, by kind and id, and the field that
+# holds the table: one value per point, or one row of values per point.
+_TABLES = {("phi", "table"): "values", ("map", "table"): "values",
+           ("map", "coupled_table"): "matrix"}
+
+
+def _fit_table(what: str, obj: dict, space) -> None:
+    """Raise ConfigError unless a built table entry (n values, or n rows of
+    n) fits the carrier: a finite space of n points."""
+    field = _TABLES.get((what, obj["id"]))
+    if field is None:
+        return
+    cells = obj[field]  # the catalog has checked a list, or a list of rows of one length
+    shape = [len(cells)] + ([len(cells[0])] if field == "matrix" else [])
+    n = space.carrier.size if space.is_finite else None
+    if any(size != n for size in shape):
+        on = f"a finite space of {n} points" if space.is_finite else "an interval"
+        raise ConfigError(f"{what} {obj['id']!r} has size {' by '.join(map(str, shape))}, "
+                          f"which does not fit {on}: "
+                          "a table needs one entry per point of a finite space")
+
+
 def _build_ctx(cfg: dict) -> PreorderCtx:
     """The order context of a config: its space, phi, slack and metric mode."""
     space = _build_space(cfg["space"])
     phi = _from_catalog("phi", catalog.get_phi, cfg["phi"])
+    _fit_table("phi", cfg["phi"], space)
     slack = float(cfg.get("slack", 1e-12))
     try:
         return PreorderCtx(space, phi, cfg.get("metric_mode", "plain"), slack)
@@ -135,16 +160,18 @@ def _build_ctx(cfg: dict) -> PreorderCtx:
         raise ConfigError(f"bad order config: {exc}")
 
 
-def _build_maps(objs, want_coupled_first=True):
+def _build_maps(objs, space):
+    """The coupled map, then the self maps, of a config on space."""
     if not isinstance(objs, list) or not objs:
         raise ConfigError("maps must be a nonempty list")
     maps = [_from_catalog("map", catalog.get_map, o) for o in objs]
-    if want_coupled_first:
-        if not isinstance(maps[0], CoupledMap):
-            raise ConfigError("the first map must be a coupled (two-argument) map")
-        for m in maps[1:]:
-            if not isinstance(m, SelfMap):
-                raise ConfigError("maps after the first must be self maps")
+    for o in objs:
+        _fit_table("map", o, space)
+    if not isinstance(maps[0], CoupledMap):
+        raise ConfigError("the first map must be a coupled (two-argument) map")
+    for m in maps[1:]:
+        if not isinstance(m, SelfMap):
+            raise ConfigError("maps after the first must be self maps")
     return maps
 
 
@@ -209,7 +236,7 @@ def _cmd_check_order(cfg, args):
     payload = {"laws": laws.as_dict(), "phi_bound": bound.as_dict()}
     ok = laws.passed and bound.passed
     if "maps" in cfg:
-        coupled = _build_maps(cfg["maps"])[0]
+        coupled = _build_maps(cfg["maps"], space)[0]
         try:
             iso = check_isotone(ctx, coupled, "grid" if not space.is_finite else "exhaustive")
         except DomainError as exc:  # an image left the carrier: a finding
@@ -224,7 +251,7 @@ def _cmd_check_order(cfg, args):
 
 def _cmd_check_relations(cfg, args):
     ctx = _build_ctx(cfg)
-    maps = _build_maps(cfg["maps"])
+    maps = _build_maps(cfg["maps"], ctx.space)
     if len(maps) != 2:
         raise ConfigError("check-relations needs exactly [coupled map, self map]")
     relation = cfg.get("relation", "left")
@@ -242,7 +269,7 @@ def _cmd_solve(cfg, args):
     solver_cfg = _build_solver_cfg(cfg.get("solver", {}))
     ctx = _build_ctx(cfg)
     space = ctx.space
-    maps = _build_maps(cfg["maps"])
+    maps = _build_maps(cfg["maps"], space)
     coupled, selfmaps = maps[0], maps[1:]
     scheme, strict = cfg["scheme"], cfg.get("strict_seed", False)
     try:
@@ -278,7 +305,7 @@ def _cmd_oracle(cfg, args):
     space = _build_space(cfg["space"])
     if not space.is_finite:
         raise ConfigError("oracle needs a finite space")
-    maps = _build_maps(cfg["maps"])
+    maps = _build_maps(cfg["maps"], space)
     try:
         report = enumerate_points(space, maps[0], maps[1:], tol=float(cfg.get("tol", 0.0)))
     except DomainError as exc:
@@ -358,7 +385,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console() -> None:
-    sys.exit(main())
+    """The qpfix script: main's exit code, or 3 for a crash that main's
+    contract does not foresee (1 would read as a finding)."""
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

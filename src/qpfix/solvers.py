@@ -30,6 +30,10 @@ Each image is checked against the carrier once, when its map produces
 it.  An image outside the carrier ends the run with status
 domain_escape, whose violation names the index the image would have
 taken, the map, and the preimage and image.
+
+On a finite carrier a run's steps and rounds are memoized once per prepared
+instance and shared by every seed; each map is called once per distinct
+argument.  An escape is never memoized: each run that meets it reports it.
 """
 
 from __future__ import annotations
@@ -154,6 +158,10 @@ class SolverReport:
         return out
 
 
+class _RoundEscape(Exception):
+    """An image left the carrier in a round: (offset, label, x, y, DomainError)."""
+
+
 def _unique_names(maps: Sequence[SelfMap]) -> list[str]:
     names = []
     for i, m in enumerate(maps):
@@ -221,7 +229,7 @@ def _prepare(
 ) -> Callable[[tuple], SolverReport]:
     """The part of a run that depends only on the instance, built once;
     returns the function that runs one seed.  On a finite carrier its runs
-    share each map image, phi value and residual table."""
+    share each map image, phi value, residual table, step and round."""
     cycle, phase_maps = scheme_phases(scheme, selfmaps)
     cfg, ectx, octx = run_contexts(ctx, cfg)
     read = (lambda v: v) if octx is ectx else mirrored
@@ -239,15 +247,16 @@ def _prepare(
     # state (x, y, stall), so a repeated state proves that it cycles
     # forever.  Round 0 is left out when nothing has checked the link
     # from the seed to its first image, since a later pass would check it.
-    first_link_checked = not cfg.verify_hypotheses or seed_map is not None
-    # On a finite carrier each map image (checked when produced), phi value
-    # and residual table is cached, keyed on the points and their types; a
-    # raised escape is never cached.  An interval's points seldom repeat,
-    # and 0.0 and -0.0 would share a key.
+    tol, window, max_iter, verify = cfg.tol, cfg.stall_window, cfg.max_iter, cfg.verify_hypotheses
+    first_link_checked = not verify or seed_map is not None
+    # On a finite carrier each map image (checked when produced), phi value,
+    # residual table, step and round is cached, keyed on the points and their
+    # types; a raised escape is never cached.  An interval's points seldom
+    # repeat, and 0.0 and -0.0 would share a key.
     cache = lru_cache(maxsize=None, typed=True) if space.is_finite else (lambda f: f)
     checked = {label: cache(lambda *args, m=m: require(m(*args)))
                for label, m in [("F", coupled), *phase_maps.items()]}
-    phi = cache(ectx.phi)
+    phi, member = cache(ectx.phi), cache(require)
 
     def raw(label: str, a: Point, b: Point) -> Point:  # label's map at a, or F at (a, b)
         return coupled(a, b) if label == "F" else phase_maps[label](a)
@@ -259,6 +268,29 @@ def _prepare(
     def residuals_at(px, py):
         return _residuals(space, [(name, image(label, px, py), image(label, py, px))
                                   for name, label in labelled], px, py)
+
+    @cache
+    def advance(label, a, b):  # label's image a' of a (F's of (a, b)), d(a, a'), sup distance
+        na = image(label, a, b)
+        step = float(dist(a, na))
+        return na, step, max(step, float(dist(na, a)))
+
+    @cache
+    def round_from(x, y):
+        """One cycle from the round start (x, y): its rows (label, x', y',
+        step_x, step_y, sum of the sup steps), and whether no image moved."""
+        rows, px, py, stationary = [], x, y, True
+        for label in cycle:
+            try:
+                nx, step_x, sup_x = advance(label, px, py)
+                ny, step_y, sup_y = advance(label, py, px)
+            except DomainError as exc:
+                raise _RoundEscape(len(rows), label, px, py, exc)
+            if sup_x != 0.0 or sup_y != 0.0:
+                stationary = False
+            rows.append((label, nx, ny, step_x, step_y, sup_x + sup_y))
+            px, py = nx, ny
+        return tuple(rows), stationary
 
     # Each returns the first hypothesis broken at index n as a violation, or None.
     def broken_at_round(n, x, y):  # the seed at round 0, then C1/C2 (D1/D2) per self map
@@ -283,22 +315,14 @@ def _prepare(
 
     def run(seed: tuple) -> SolverReport:
         x, y = seed
-        require(x)
-        require(y)
+        try:
+            member(x), member(y)
+        except TypeError:  # unhashable, so no carrier point: require names it
+            require(x), require(y)
         rows = [TraceRow(0, x, y, phi(x), phi(y), 0.0, 0.0, "seed")]
-        status: Optional[str] = None
-        violation: Optional[SolverViolation] = None
-        n = 0
-        stall = 0
-        final_steps_set = False
-
-        def escape(exc, index, witness, map_name=None):
-            nonlocal status, violation
-            status = "domain_escape"
-            violation = SolverViolation("domain", index, witness, map_name, str(exc))
-
+        status = violation = cycle_at = None
+        n, stall, final_steps_set = 0, 0, False
         seen = {} if space.is_finite else None
-        cycle_at = None
         residuals = ({}, {}, {})
         try:
             while status is None:
@@ -308,55 +332,40 @@ def _prepare(
                         status = "periodic"
                         cycle_at = (start, n - start)
                         break
-                if cfg.verify_hypotheses and (violation := broken_at_round(n, x, y)):
+                if verify and (violation := broken_at_round(n, x, y)):
                     status = "hypothesis_violated"
                     break
-
-                # probe one full cycle, checking and measuring each image once;
-                # an exactly stationary cycle converges now
-                probe = []
-                px, py = x, y
-                stationary = True
-                for label in cycle:
-                    try:
-                        nx, ny = image(label, px, py), image(label, py, px)
-                    except DomainError as exc:
-                        witness = (px, raw(label, px, py), py, raw(label, py, px))
-                        escape(exc, n + len(probe) + 1, witness, label)
-                        break
-                    step_x, back_x = float(dist(px, nx)), float(dist(nx, px))
-                    step_y, back_y = float(dist(py, ny)), float(dist(ny, py))
-                    sup_x, sup_y = max(step_x, back_x), max(step_y, back_y)
-                    if sup_x != 0.0 or sup_y != 0.0:
-                        stationary = False
-                    probe.append((label, nx, ny, step_x, step_y, sup_x + sup_y))
-                    px, py = nx, ny
-                if status is not None:
+                try:
+                    payload, stationary = round_from(x, y)
+                except _RoundEscape as esc:
+                    offset, label, px, py, exc = esc.args
+                    status = "domain_escape"
+                    witness = (px, raw(label, px, py), py, raw(label, py, px))
+                    violation = SolverViolation("domain", n + offset + 1, witness, label, str(exc))
                     break
-                if stationary and max((residuals := residuals_at(x, y))[2].values()) <= cfg.tol:
-                    rows[-1].step_x = 0.0
-                    rows[-1].step_y = 0.0
+                # an exactly stationary cycle converges now, its last row's steps 0
+                if stationary and max((residuals := residuals_at(x, y))[2].values()) <= tol:
                     final_steps_set = True
                     status = "converged"
                     break
 
-                for label, nx, ny, step_x, step_y, sstep in probe:
-                    rows[-1].step_x = step_x
-                    rows[-1].step_y = step_y
+                for label, nx, ny, step_x, step_y, sstep in payload:
+                    last = rows[-1]
+                    last.step_x, last.step_y = step_x, step_y
                     n += 1
                     rows.append(TraceRow(n, nx, ny, phi(nx), phi(ny), 0.0, 0.0, label))
                     prev_x, prev_y, x, y = x, y, nx, ny
-                    if (cfg.verify_hypotheses and n >= 2
+                    if (verify and n >= 2
                             and (violation := broken_at_link(n, prev_x, x, prev_y, y))):
                         status = "hypothesis_violated"
                         break
-                    stall = stall + 1 if sstep < cfg.tol else 0
-                    if stall >= cfg.stall_window:
-                        if max((residuals := residuals_at(x, y))[2].values()) <= cfg.tol:
+                    stall = stall + 1 if sstep < tol else 0
+                    if stall >= window:
+                        if max((residuals := residuals_at(x, y))[2].values()) <= tol:
                             status = "converged"
                             break
                         stall = 0
-                    if n >= cfg.max_iter:
+                    if n >= max_iter:
                         status = "max_iter"
                         break
 
@@ -364,15 +373,16 @@ def _prepare(
                 if not final_steps_set:
                     # fill the final row's forward step with one lookahead evaluation
                     label = cycle[n % len(cycle)]
-                    rows[-1].step_x = float(dist(x, image(label, x, y)))
-                    rows[-1].step_y = float(dist(y, image(label, y, x)))
+                    rows[-1].step_x = advance(label, x, y)[1]
+                    rows[-1].step_y = advance(label, y, x)[1]
                 if status != "converged":  # a converged run has just computed them here
                     residuals = residuals_at(x, y)
-        except DomainError as exc:  # an image checked outside the probe left the carrier
+        except DomainError as exc:  # an image checked outside a round left the carrier
             residuals = ({}, {}, {})
             # a hypothesis violation or a cycle found earlier stays the reported outcome
             if status in (None, "max_iter"):
-                escape(exc, n, (x, y))
+                status = "domain_escape"
+                violation = SolverViolation("domain", n, (x, y), None, str(exc))
 
         # copies, since the runs of one instance share the memoised tables
         res_d, res_dinv, res_ds = ({}, {}, {}) if status == "domain_escape" else map(dict, residuals)

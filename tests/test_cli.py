@@ -512,6 +512,48 @@ def test_catalog_tables_are_not_coerced(tmp_path, capsys):
         assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, cfg, message", [
+    # read as rows[3][...] of a 2-row table: an IndexError (exit 1)
+    ("check-order", {"space": {"kind": "interval", "lo": 3, "hi": 3, "dist": "upper"},
+                     "phi": {"id": "identity"},
+                     "maps": [{"id": "coupled_table", "matrix": [[1, 0], [1, 0]]}]},
+     "map 'coupled_table' has size 2 by 2, which does not fit an interval"),
+    # phi(0.25) read as values[int(0.25)], and the run exited 0
+    ("solve", {"space": {"id": "upper_interval"}, "phi": {"id": "table", "values": [0.0, 1.0]},
+               "maps": [{"id": "coupled_max"}], "scheme": "single", "seed_pair": [0.25, 0.5]},
+     "phi 'table' has size 2, which does not fit an interval"),
+    ("solve", dict(FINITE_SOLVE, maps=[{"id": "coupled_table", "matrix": [[0] * 3] * 3}]),
+     "map 'coupled_table' has size 3 by 3, which does not fit a finite space of 2 points"),
+    ("solve", dict(FINITE_SOLVE, maps=[FINITE_SOLVE["maps"][0], {"id": "table", "values": [0]}],
+                   scheme="pair"),
+     "map 'table' has size 1, which does not fit a finite space of 2 points"),
+    ("oracle", {"space": FINITE_SOLVE["space"],
+                "maps": [{"id": "coupled_table", "matrix": [[0, 1, 1], [1, 1, 1]]}]},
+     "map 'coupled_table' has size 2 by 3, which does not fit a finite space of 2 points"),
+], ids=["coupled-on-interval", "phi-on-interval", "coupled-too-big", "self-too-small",
+        "oracle-not-square"])
+def test_a_table_must_have_one_entry_per_point_of_a_finite_carrier(tmp_path, capsys, cmd, cfg,
+                                                                   message):
+    cfg = dict(cfg, schema="1", output_dir=str(tmp_path / "o"))
+    assert main([cmd, "--config", _write(tmp_path / "c.json", cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_crash_exits_three_through_the_console_script(tmp_path, monkeypatch, capsys):
+    # phi neg_exp overflows at lo = -1e300: no finding, so not exit 1
+    cfg = {"schema": "1", "output_dir": str(tmp_path / "o"),
+           "space": {"id": "upper_interval", "lo": -1e300}, "phi": {"id": "neg_exp"}}
+    argv = ["check-order", "--config", _write(tmp_path / "c.json", cfg)]
+    with pytest.raises(OverflowError):  # main raises for Python callers
+        main(argv)
+    monkeypatch.setattr(sys, "argv", ["qpfix", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.console()
+    assert exit_.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "OverflowError" in err
+
+
 # -- one typed field reader for the config and its nested objects -------------
 
 

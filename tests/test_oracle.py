@@ -367,7 +367,7 @@ def test_runs_call_each_map_once_per_distinct_argument():
 
     def counted(m, arity):
         def fn(*args):
-            calls[m.name, *args] += 1
+            calls[(m.name, *args)] += 1
             return m(*args)
         return (CoupledMap if arity == 2 else SelfMap)(fn, name=m.name)
 

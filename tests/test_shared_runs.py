@@ -396,6 +396,46 @@ def test_an_escape_on_some_paths_is_reported_by_every_run_that_reaches_it():
     assert calls[3] > 0  # the escaping image is produced again, not remembered
 
 
+@pytest.mark.parametrize("scheme, label", [("triple", "G"), ("kmap", "G1")])
+def test_runs_that_meet_one_escaping_round_at_different_indices_report_their_own(scheme, label):
+    # Each round applies h, then F, then g.  h and F keep both points, and g
+    # steps 2 to 1 and 1 out of the carrier, so the round from (1, 1) escapes
+    # at g, offset 2 in the round.  The seed (1, 1) starts that round at
+    # index 0, and (2, 2) at index 3, after a remembered round from (2, 2).
+    ctx = PreorderCtx(finite_space([[abs(a - b) for b in range(4)] for a in range(4)]),
+                      catalog.get_phi("table", values=[0] * 4), slack=1.0)
+    first = CoupledMap(lambda a, b: a, name="first")
+    calls = Counter()
+
+    def g(a):
+        calls[a] += 1
+        return {2: 1, 1: 4}.get(a, a)
+
+    maps = [SelfMap(g, name="g"), SelfMap(lambda a: a, name="h")]
+    cfg = SolverConfig()
+    run = _prepare(scheme, ctx, first, maps, cfg)
+    index = {(1, 1): 3, (2, 2): 6}
+    for seed in [(1, 1), (2, 2), (2, 2), (1, 1)]:
+        calls.clear()
+        report = run(seed)
+        # g(1) runs once in the round, which remembers no escape, and twice for the witness
+        assert calls[1] == 3
+        assert fingerprint(report) == fingerprint(reference_run_scheme(scheme, ctx, first, maps,
+                                                                       seed, cfg))
+        v = report.violation
+        assert report.status == "domain_escape"
+        assert (v.index, v.witness, v.map_name) == (index[seed], (1, 4, 1, 4), label)
+
+
+def test_a_seed_that_cannot_be_remembered_is_no_carrier_point():
+    # membership is remembered by hashing the seed's points
+    run = _prepare("single", flat_ctx(2), CoupledMap(lambda a, b: a, name="first"), [],
+                   SolverConfig())
+    for seed in [(np.array(1), 0), (0, [1])]:
+        with pytest.raises(DomainError, match="is not in the carrier"):
+            run(seed)
+
+
 def test_remembered_images_keep_the_type_of_their_argument():
     # H is the identity and F a projection, so each keeps its argument's
     # type, and G's arithmetic keeps it too: every row of a run quotes
