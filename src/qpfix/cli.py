@@ -18,11 +18,10 @@ from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import catalog
 from .oracle import ORACLE_POINT_CAP, enumerate_points, run_agreement_campaign
 from .order import (
+    DEFAULT_ORDER_SLACK,
     CoupledMap,
     PreorderCtx,
     SelfMap,
@@ -34,6 +33,7 @@ from .order import (
 from .relations import check_weakly_left_related, check_weakly_right_related
 from .solvers import SolverConfig, check_scheme, run_contexts, run_scheme
 from .spaces import (
+    DEFAULT_AXIOM_SLACK,
     DomainError,
     UnsupportedError,
     check_axioms,
@@ -153,7 +153,7 @@ def _build_ctx(cfg: dict) -> PreorderCtx:
     space = _build_space(cfg["space"])
     phi = _from_catalog("phi", catalog.get_phi, cfg["phi"])
     _fit_table("phi", cfg["phi"], space)
-    slack = float(cfg.get("slack", 1e-12))
+    slack = float(cfg.get("slack", DEFAULT_ORDER_SLACK))
     try:
         return PreorderCtx(space, phi, cfg.get("metric_mode", "plain"), slack)
     except ValueError as exc:
@@ -186,12 +186,6 @@ def _build_solver_cfg(obj: dict) -> SolverConfig:
 # -- output -------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_atomic(out_dir: str, filename: str, write) -> None:
     """Have write(tmp) fill a temporary file, then rename it into place,
     so a reader never sees a half-written file.  An OSError, such as an
@@ -207,7 +201,7 @@ def _write_atomic(out_dir: str, filename: str, write) -> None:
 
 
 def _write_report(payload: dict, out_dir: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write_atomic(out_dir, "report.json", lambda tmp: Path(tmp).write_text(text))
 
 
@@ -218,7 +212,7 @@ def _write_report(payload: dict, out_dir: str) -> None:
 
 def _cmd_check_space(cfg, args):
     space = _build_space(cfg["space"])
-    slack = float(cfg.get("slack", 1e-12))
+    slack = float(cfg.get("slack", DEFAULT_AXIOM_SLACK))
     if cfg.get("sample", "default") not in ("default", "exhaustive"):
         raise ConfigError('sample must be "default" or "exhaustive"')
     pts = _sample_points(cfg, space)
@@ -238,7 +232,7 @@ def _cmd_check_order(cfg, args):
     if "maps" in cfg:
         coupled = _build_maps(cfg["maps"], space)[0]
         try:
-            iso = check_isotone(ctx, coupled, "grid" if not space.is_finite else "exhaustive")
+            iso = check_isotone(ctx, coupled, "grid")
         except DomainError as exc:  # an image left the carrier: a finding
             payload["isotone"] = {"passed": False, "domain_escape": str(exc)}
             ok = False
@@ -259,7 +253,7 @@ def _cmd_check_relations(cfg, args):
         raise ConfigError('relation must be "left" or "right"')
     check = check_weakly_left_related if relation == "left" else check_weakly_right_related
     try:
-        report = check(ctx, maps[0], maps[1], "exhaustive" if ctx.space.is_finite else "grid")
+        report = check(ctx, maps[0], maps[1], "grid")
     except DomainError as exc:  # an image left the carrier: a finding
         return {"kind": relation, "passed": False, "domain_escape": str(exc)}, False
     return report.as_dict(), report.passed

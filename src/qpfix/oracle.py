@@ -185,13 +185,12 @@ def order_chain(ctx: PreorderCtx) -> list[int]:
     return chain
 
 
-def _monotone_levels(ctx: PreorderCtx) -> list[int]:
-    # level(i) = rank of phi(i) among distinct values; below implies
-    # phi no larger, hence level no larger
-    vals = [ctx.phi(i) for i in ctx.space.points()]
-    distinct = sorted(set(vals))
-    rank = {v: r for r, v in enumerate(distinct)}
-    return [rank[v] for v in vals]
+def _chain_positions(rng: np.random.Generator, ctx: PreorderCtx, length: int):
+    """Each point's position on a chain of the given length: one sorted
+    draw per distinct phi value, read at the point's rank among them.  A
+    point below another has phi no larger, hence position no larger."""
+    _, rank = np.unique([ctx.phi(i) for i in ctx.space.points()], return_inverse=True)
+    return np.sort(rng.integers(0, length, size=rank.max() + 1))[rank]
 
 
 def random_isotone_coupled(
@@ -199,29 +198,18 @@ def random_isotone_coupled(
 ) -> CoupledMap:
     """Random order-preserving coupled table map.
 
-    Values live on an order chain, indexed by a map that is nondecreasing
-    in the phi levels of both arguments, which makes isotonicity hold by
-    construction (and checkable exhaustively).
+    Values live on an order chain, at positions nondecreasing in the phi
+    ranks of both arguments (their max, their min, or the first's), which
+    makes isotonicity hold by construction (and checkable exhaustively).
     """
     if chain is None:
         chain = order_chain(ctx)
-    levels = _monotone_levels(ctx)
-    n_levels = max(levels) + 1
-    c = len(chain)
-    mx = np.sort(rng.integers(0, c, size=n_levels))
-    my = np.sort(rng.integers(0, c, size=n_levels))
+    px = _chain_positions(rng, ctx, len(chain))
+    py = _chain_positions(rng, ctx, len(chain))
     combine = rng.choice(["max", "min", "first"])
-    table = np.empty((len(levels), len(levels)), dtype=int)
-    for i, li in enumerate(levels):
-        for j, lj in enumerate(levels):
-            if combine == "max":
-                k = max(mx[li], my[lj])
-            elif combine == "min":
-                k = min(mx[li], my[lj])
-            else:
-                k = mx[li]
-            table[i, j] = chain[k]
-    rows = table.tolist()
+    outer = {"max": np.maximum.outer, "min": np.minimum.outer}.get(combine)
+    pos = outer(px, py) if outer else np.broadcast_to(px[:, None], (len(px), len(py)))
+    rows = np.asarray(chain)[pos].tolist()
     return CoupledMap(lambda a, b: rows[int(a)][int(b)], name="F_table")
 
 
@@ -233,10 +221,7 @@ def random_chain_selfmap(
 ) -> SelfMap:
     if chain is None:
         chain = order_chain(ctx)
-    levels = _monotone_levels(ctx)
-    n_levels = max(levels) + 1
-    mg = np.sort(rng.integers(0, len(chain), size=n_levels))
-    values = [chain[mg[l]] for l in levels]
+    values = np.asarray(chain)[_chain_positions(rng, ctx, len(chain))].tolist()
     return SelfMap(lambda a: values[int(a)], name=name)
 
 

@@ -203,12 +203,11 @@ def _d_flag(profile, rows, side: int, critical: float, epsilon: float, cap: int)
 
 
 def default_candidates(seq: SequenceWindow) -> list[Point]:
-    """Candidate limits: the window's own points, plus the whole carrier
-    (finite) or the default grid (interval).  Including the window points
-    is what makes the K-style flags imply the d-style flags at any
-    horizon.  Duplicates are dropped (they contribute identical rows)."""
-    extra = seq.space.points() if seq.space.is_finite else seq.space.grid()
-    return list(dict.fromkeys(list(seq.points) + list(extra)))
+    """Candidate limits: the window's own points, plus the default grid
+    (the whole carrier, when finite).  Including the window points is what
+    makes the K-style flags imply the d-style flags at any horizon.
+    Duplicates are dropped (they contribute identical rows)."""
+    return list(dict.fromkeys(list(seq.points) + seq.space.grid()))
 
 
 def cauchy_moduli(seq: SequenceWindow) -> Mapping[str, float]:

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .order import CoupledMap, PreorderCtx, SelfMap, induced_leq, oriented
+from .order import CoupledMap, PreorderCtx, SelfMap, admissible_seed, induced_leq, oriented
 from .relations import mirrored, relate_pair_left
 from .spaces import DomainError, Point, QPSpace
 
@@ -239,8 +239,10 @@ def _prepare(
     named = list(zip(names, selfmaps))
     labelled = [(coupled.name, "F")] + list(zip(names, phase_maps))
     # The seed must be below its image under the cycle's first map, when
-    # that map is F or strict_seed is set.
+    # that map is F or strict_seed is set: an admissible seed of seed_fn,
+    # that map read as a coupled map (a self map reads its first argument).
     seed_map = cycle[0] if cycle[0] == "F" or strict_seed else None
+    seed_fn = None if seed_map is None else CoupledMap(lambda a, b: raw(seed_map, a, b))
     seed_blame = ((None, "starting pair is not below its image") if seed_map == "F" else
                   (seed_map, "strict mode: starting pair is not below its first image"))
     # On a finite carrier the run is a deterministic map on the round-start
@@ -294,10 +296,8 @@ def _prepare(
 
     # Each returns the first hypothesis broken at index n as a violation, or None.
     def broken_at_round(n, x, y):  # the seed at round 0, then C1/C2 (D1/D2) per self map
-        if n == 0 and seed_map is not None:
-            nx, ny = raw(seed_map, x, y), raw(seed_map, y, x)
-            if not (induced_leq(octx, x, nx) and induced_leq(octx, y, ny)):
-                return SolverViolation("seed", 0, (x, y), *seed_blame)
+        if n == 0 and seed_fn is not None and not admissible_seed(octx, seed_fn, x, y):
+            return SolverViolation("seed", 0, (x, y), *seed_blame)
         for name, m in named:
             if (v := read(relate_pair_left(octx, coupled, m, x, y))) is not None:
                 return SolverViolation(v.condition, n, v.pair, name,

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_generators
 from mutants import mutant_never_converges, mutant_pair_solver
-from qpfix import catalog
+from qpfix import catalog, oracle
 from qpfix.oracle import (
     ENTRY_GRID,
     ORACLE_POINT_CAP,
@@ -102,6 +103,29 @@ def test_generator_entries_stay_on_grid():
         assert check_T0(space, "exhaustive", slack=0.0).passed
         flat = set(float(v) for v in space.matrix.ravel())
         assert flat <= set(ENTRY_GRID)
+
+
+def _typed_table(m, n):
+    """Every value of a generated map on n points, with its type."""
+    args = [(a, b) for a in range(n) for b in range(n)] if isinstance(m, CoupledMap) else \
+        [(a,) for a in range(n)]
+    return [(type(v), v) for v in (m(*a) for a in args)]
+
+
+def test_generators_match_the_loops_they_replace_table_for_table_and_draw_for_draw():
+    rng = np.random.default_rng(47)
+    for trial in range(240):
+        n = int(rng.integers(1, 13))
+        space = random_finite_space(rng, n, t0=bool(trial % 2))
+        ctx = PreorderCtx(space, random_phi_table(rng, n), slack=0.0)
+        chain = order_chain(ctx) if trial % 3 else None
+        new, old = np.random.default_rng(trial), np.random.default_rng(trial)
+        for name in ("random_isotone_coupled", "random_chain_selfmap"):
+            got = getattr(oracle, name)(new, ctx, chain)
+            want = getattr(reference_generators, name)(old, ctx, chain)
+            assert got.name == want.name
+            assert _typed_table(got, n) == _typed_table(want, n)
+            assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_generated_coupled_maps_are_isotone_with_seeds():
