@@ -9,6 +9,7 @@ construction and are never certified by finite testing.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Union
 
 import numpy as np
@@ -129,6 +130,36 @@ def _map(map_id: str, params: dict) -> Union[CoupledMap, SelfMap]:
         values = _table("table values", params.pop("values"), integer=True)
         return SelfMap(lambda i: values[int(i)], name="table")
     raise CatalogError(f"unknown map id {map_id!r}")
+
+
+# The entries that are tables, by kind and id, and the field that holds the
+# table: one value per point, or one row of values per point.
+_TABLES = {("phi", "table"): "values", ("map", "table"): "values",
+           ("map", "coupled_table"): "matrix"}
+
+
+def _check_fit(kind: str, obj: dict, space: QPSpace) -> None:
+    """Raise CatalogError unless the built entry {"id": ..., **params} of
+    kind "phi" or "map" fits the carrier of space: a table needs one entry
+    (or row) per point of a finite space; on an interval, maps sqrt_pull and
+    cbrt_pull need lo >= 0, and phi neg_exp a finite exp(-lo)."""
+    entry_id, field = obj["id"], _TABLES.get((kind, obj["id"]))
+    if field is not None:
+        cells = obj[field]  # the built entry is a list, or a list of rows of one length
+        shape = [len(cells)] + ([len(cells[0])] if field == "matrix" else [])
+        n = space.carrier.size if space.is_finite else None
+        if any(size != n for size in shape):
+            on = f"a finite space of {n} points" if space.is_finite else "an interval"
+            raise CatalogError(f"{kind} {entry_id!r} has size {' by '.join(map(str, shape))}, "
+                               f"which does not fit {on}: "
+                               "a table needs one entry per point of a finite space")
+    elif not space.is_finite:
+        lo, bound = space.carrier.lo, -math.log(sys.float_info.max)  # exp(-lo) finite from here
+        if kind == "map" and entry_id in ("sqrt_pull", "cbrt_pull") and lo < 0:
+            raise CatalogError(f"map {entry_id!r} needs an interval with lo >= 0, got lo = {lo!r}")
+        if kind == "phi" and entry_id == "neg_exp" and lo < bound:
+            raise CatalogError(f"phi 'neg_exp' needs a finite exp(-lo), that is lo >= {bound!r}, "
+                               f"got lo = {lo!r}")
 
 
 def _number(params: dict, key: str, default: float) -> float:

@@ -95,14 +95,18 @@ def _load_config(path: str, required: set, optional: set) -> dict:
     return _checked(cfg, "config", required | {"schema", "output_dir"}, optional)
 
 
-def _from_catalog(what: str, build, obj):
-    """Build a catalog entry from {"id": ..., **params}."""
+def _from_catalog(what: str, build, obj, space=None):
+    """Build a catalog entry from {"id": ..., **params}; a phi or map entry
+    must also fit the carrier of space."""
     if not isinstance(obj, dict) or "id" not in obj:
         raise ConfigError(f'{what} must be an object with an "id"')
     params = dict(obj)
     entry_id = params.pop("id")
     try:
-        return build(entry_id, **params)
+        built = build(entry_id, **params)
+        if space is not None:
+            catalog._check_fit(what, obj, space)
+        return built
     except (catalog.CatalogError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad {what} config: {exc}")
 
@@ -126,33 +130,10 @@ def _sample_points(cfg: dict, space) -> list:
         raise ConfigError(f"bad sample {sample!r}: {exc}")
 
 
-# The catalog entries that are tables, by kind and id, and the field that
-# holds the table: one value per point, or one row of values per point.
-_TABLES = {("phi", "table"): "values", ("map", "table"): "values",
-           ("map", "coupled_table"): "matrix"}
-
-
-def _fit_table(what: str, obj: dict, space) -> None:
-    """Raise ConfigError unless a built table entry (n values, or n rows of
-    n) fits the carrier: a finite space of n points."""
-    field = _TABLES.get((what, obj["id"]))
-    if field is None:
-        return
-    cells = obj[field]  # the catalog has checked a list, or a list of rows of one length
-    shape = [len(cells)] + ([len(cells[0])] if field == "matrix" else [])
-    n = space.carrier.size if space.is_finite else None
-    if any(size != n for size in shape):
-        on = f"a finite space of {n} points" if space.is_finite else "an interval"
-        raise ConfigError(f"{what} {obj['id']!r} has size {' by '.join(map(str, shape))}, "
-                          f"which does not fit {on}: "
-                          "a table needs one entry per point of a finite space")
-
-
 def _build_ctx(cfg: dict) -> PreorderCtx:
     """The order context of a config: its space, phi, slack and metric mode."""
     space = _build_space(cfg["space"])
-    phi = _from_catalog("phi", catalog.get_phi, cfg["phi"])
-    _fit_table("phi", cfg["phi"], space)
+    phi = _from_catalog("phi", catalog.get_phi, cfg["phi"], space)
     slack = float(cfg.get("slack", DEFAULT_ORDER_SLACK))
     try:
         return PreorderCtx(space, phi, cfg.get("metric_mode", "plain"), slack)
@@ -164,9 +145,7 @@ def _build_maps(objs, space):
     """The coupled map, then the self maps, of a config on space."""
     if not isinstance(objs, list) or not objs:
         raise ConfigError("maps must be a nonempty list")
-    maps = [_from_catalog("map", catalog.get_map, o) for o in objs]
-    for o in objs:
-        _fit_table("map", o, space)
+    maps = [_from_catalog("map", catalog.get_map, o, space) for o in objs]
     if not isinstance(maps[0], CoupledMap):
         raise ConfigError("the first map must be a coupled (two-argument) map")
     for m in maps[1:]:

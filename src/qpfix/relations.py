@@ -66,13 +66,17 @@ class RelReport(Report):
 
 
 def _resolve_pairs(ctx: PreorderCtx, sample) -> Iterable[tuple[Point, Point]]:
+    """The pairs of a sample spec, or of an explicit sample after one test of
+    its points, before any map is called: DomainError names the first outside."""
     if isinstance(sample, str):
         if sample not in ("grid", "exhaustive"):
             raise ValueError(f"unknown pair sample spec {sample!r}")
         space = ctx.space
         pts = space.points() if sample == "exhaustive" else space.grid(RELATION_GRID_POINTS)
         return itertools.product(pts, repeat=2)
-    return sample
+    pairs = list(sample)
+    ctx.space.require_all(itertools.chain.from_iterable(pairs))
+    return pairs
 
 
 def relate_pair_left(

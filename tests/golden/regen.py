@@ -5,9 +5,10 @@
 Each case directory under tests/golden is named ``<command>-<case>`` and
 holds a ``config.json``; this script runs it through ``cli.main`` and
 rewrites the files the run writes (``report.json``, and ``trace.csv`` for
-``solve``) and its ``exit_code``.  ``compare`` runs with ``--seed 1``.  A
-config's ``output_dir`` is ``out``, relative, so that the installed
-``qpfix`` script can run it from a copy of the case directory.
+``solve``) and its ``exit_code``, listing those whose bytes changed.
+``compare`` runs with ``--seed 1``.  A config's ``output_dir`` is ``out``,
+relative, so that the installed ``qpfix`` script can run it from a copy of
+the case directory.
 
 The corpus pins every byte a command writes: review the diff of a
 regeneration as a change in what the program reports.
@@ -52,7 +53,9 @@ def run_case(case: Path, work: Path) -> tuple[int, Path]:
 
 
 def main() -> None:
+    """Rewrite every case, and list the files whose bytes changed."""
     for case in cases():
+        before = {p.name: p.read_bytes() for p in case.iterdir() if p.name != "config.json"}
         for name in expected_files(case):
             (case / name).unlink()
         with tempfile.TemporaryDirectory() as tmp:
@@ -60,7 +63,10 @@ def main() -> None:
             for written in sorted(out.iterdir()):
                 shutil.copyfile(written, case / written.name)
         (case / "exit_code").write_text(f"{code}\n")
-        print(f"{case.name}: exit {code}", file=sys.stderr)
+        after = {p.name: p.read_bytes() for p in case.iterdir() if p.name != "config.json"}
+        changed = sorted(n for n in before.keys() | after.keys() if before.get(n) != after.get(n))
+        print(f"{case.name}: exit {code}" + (f", changed {changed}" if changed else ""),
+              file=sys.stderr)
 
 
 if __name__ == "__main__":

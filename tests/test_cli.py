@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qpfix import cli
+from qpfix import catalog, cli
 from qpfix.cli import main
 
 
@@ -540,18 +541,56 @@ def test_a_table_must_have_one_entry_per_point_of_a_finite_carrier(tmp_path, cap
 
 
 def test_a_crash_exits_three_through_the_console_script(tmp_path, monkeypatch, capsys):
-    # phi neg_exp overflows at lo = -1e300: no finding, so not exit 1
-    cfg = {"schema": "1", "output_dir": str(tmp_path / "o"),
-           "space": {"id": "upper_interval", "lo": -1e300}, "phi": {"id": "neg_exp"}}
-    argv = ["check-order", "--config", _write(tmp_path / "c.json", cfg)]
-    with pytest.raises(OverflowError):  # main raises for Python callers
+    # a command that fails in a way the exit contract does not foresee
+    def crash(cfg, args):
+        raise RuntimeError("unforeseen")
+
+    _, *spec = cli._COMMANDS["check-space"]
+    monkeypatch.setitem(cli._COMMANDS, "check-space", (crash, *spec))
+    cfg = {"schema": "1", "output_dir": str(tmp_path / "o"), "space": {"id": "upper_interval"}}
+    argv = ["check-space", "--config", _write(tmp_path / "c.json", cfg)]
+    with pytest.raises(RuntimeError):  # main raises for Python callers
         main(argv)
     monkeypatch.setattr(sys, "argv", ["qpfix", *argv])
     with pytest.raises(SystemExit) as exit_:
         cli.console()
     assert exit_.value.code == 3
     err = capsys.readouterr().err
-    assert err.startswith("Traceback") and "OverflowError" in err
+    assert err.startswith("Traceback") and "RuntimeError: unforeseen" in err
+
+
+# each used to crash or report a complex point: the catalog now rejects an
+# entry whose formula leaves the reals on the carrier
+RELATIONS_ON_MINUS_ONE = {"space": {"id": "upper_interval", "lo": -1.0}, "phi": {"id": "identity"},
+                          "relation": "left"}
+
+
+@pytest.mark.parametrize("cmd, cfg, message", [
+    # exit 3 with an OverflowError
+    ("check-order", {"space": {"id": "upper_interval", "lo": -1e300}, "phi": {"id": "neg_exp"}},
+     "phi 'neg_exp' needs a finite exp(-lo), that is lo >= -709.782712893384, got lo = -1e+300"),
+    # exit 3 with ValueError: math domain error
+    ("check-relations", dict(RELATIONS_ON_MINUS_ONE,
+                             maps=[{"id": "coupled_min"}, {"id": "sqrt_pull"}]),
+     "map 'sqrt_pull' needs an interval with lo >= 0, got lo = -1.0"),
+    # exit 1, naming the point (0.5000000000000001+0.8660254037844386j)
+    ("check-relations", dict(RELATIONS_ON_MINUS_ONE,
+                             maps=[{"id": "coupled_min"}, {"id": "cbrt_pull"}]),
+     "map 'cbrt_pull' needs an interval with lo >= 0, got lo = -1.0"),
+], ids=["neg_exp", "sqrt_pull", "cbrt_pull"])
+def test_an_entry_outside_its_domain_is_a_config_error(tmp_path, cmd, cfg, message):
+    cfg = dict(cfg, schema="1", output_dir=str(tmp_path / "o"))
+    code, err = _run([cmd, "--config", _write(tmp_path / "c.json", cfg)])
+    assert code == 2 and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_entry_at_or_inside_its_bound_fits():
+    space = catalog.get_space("upper_interval", lo=0.0)
+    for kind, entry_id in [("map", "sqrt_pull"), ("map", "cbrt_pull"), ("phi", "neg_exp")]:
+        catalog._check_fit(kind, {"id": entry_id}, space)
+    catalog._check_fit("phi", {"id": "neg_exp"},
+                       catalog.get_space("upper_interval", lo=-math.log(sys.float_info.max)))
 
 
 # -- one typed field reader for the config and its nested objects -------------

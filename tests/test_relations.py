@@ -196,6 +196,19 @@ def test_an_escaping_image_raises_where_it_is_produced(unit_ctx):
             relate(unit_ctx, F, sqrt, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("check", [check_weakly_left_related, check_weakly_right_related])
+@pytest.mark.parametrize("pairs, outside", [([(5.0, 0.5), (0.2, 0.3)], "5.0"),
+                                            ([(0.2, 0.3), (0.5, -1.0)], "-1.0")])
+def test_an_explicit_pair_sample_is_read_only_at_carrier_points(unit_ctx, check, pairs, outside):
+    # 5.0 used to pass, checked: 2, because every map image fell back in [0, 1]
+    calls = []
+    F = CoupledMap(lambda a, b: calls.append((a, b)) or min(a, b), name="coupled_min")
+    g = catalog.get_map("affine_pull", a=0, b=0.5)
+    with pytest.raises(DomainError, match=rf"point {outside} is not in the carrier"):
+        check(unit_ctx, F, g, pairs)
+    assert calls == []  # no map is called before the sample is read
+
+
 def test_relation_report_json(unit_ctx):
     report = check_weakly_left_related(unit_ctx, F_MAX, HALVE, [(0.5, 0.5)])
     payload = report.as_dict()
