@@ -585,12 +585,19 @@ def test_an_entry_outside_its_domain_is_a_config_error(tmp_path, cmd, cfg, messa
     assert not (tmp_path / "o").exists()
 
 
-def test_an_entry_at_or_inside_its_bound_fits():
+def test_an_entry_fits_exactly_where_its_formula_stays_real():
     space = catalog.get_space("upper_interval", lo=0.0)
     for kind, entry_id in [("map", "sqrt_pull"), ("map", "cbrt_pull"), ("phi", "neg_exp")]:
         catalog._check_fit(kind, {"id": entry_id}, space)
-    catalog._check_fit("phi", {"id": "neg_exp"},
-                       catalog.get_space("upper_interval", lo=-math.log(sys.float_info.max)))
+    # neg_exp's bound is the last lo at which phi(lo) is finite
+    neg_exp, lo = catalog.get_phi("neg_exp"), -math.log(sys.float_info.max)
+    catalog._check_fit("phi", {"id": "neg_exp"}, catalog.get_space("upper_interval", lo=lo))
+    assert math.isfinite(neg_exp(lo))
+    below = math.nextafter(lo, -math.inf)
+    with pytest.raises(OverflowError):
+        neg_exp(below)
+    with pytest.raises(catalog.CatalogError, match="neg_exp"):
+        catalog._check_fit("phi", {"id": "neg_exp"}, catalog.get_space("upper_interval", lo=below))
 
 
 # -- one typed field reader for the config and its nested objects -------------
