@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .order import CoupledMap, PhiFn, SelfMap
-from .spaces import QPSpace, _signed_interval, finite_space, is_finite_number
+from .spaces import _CONTAINS_EPS, QPSpace, _signed_interval, finite_space, is_finite_number
 
 
 class CatalogError(LookupError):
@@ -142,7 +142,8 @@ def _check_fit(kind: str, obj: dict, space: QPSpace) -> None:
     """Raise CatalogError unless the built entry {"id": ..., **params} of
     kind "phi" or "map" fits the carrier of space: a table needs one entry
     (or row) per point of a finite space; on an interval, maps sqrt_pull and
-    cbrt_pull need lo >= 0, and phi neg_exp a finite exp(-lo)."""
+    cbrt_pull need lo >= 0, and phi neg_exp a finite exp(-x) at the lowest
+    point the carrier accepts, lo - _CONTAINS_EPS."""
     entry_id, field = obj["id"], _TABLES.get((kind, obj["id"]))
     if field is not None:
         cells = obj[field]  # the built entry is a list, or a list of rows of one length
@@ -154,12 +155,12 @@ def _check_fit(kind: str, obj: dict, space: QPSpace) -> None:
                                f"which does not fit {on}: "
                                "a table needs one entry per point of a finite space")
     elif not space.is_finite:
-        lo, bound = space.carrier.lo, -math.log(sys.float_info.max)  # exp(-lo) finite from here
+        lo, bound = space.carrier.lo, -math.log(sys.float_info.max)  # exp(-x) finite from here
         if kind == "map" and entry_id in ("sqrt_pull", "cbrt_pull") and lo < 0:
             raise CatalogError(f"map {entry_id!r} needs an interval with lo >= 0, got lo = {lo!r}")
-        if kind == "phi" and entry_id == "neg_exp" and lo < bound:
-            raise CatalogError(f"phi 'neg_exp' needs a finite exp(-lo), that is lo >= {bound!r}, "
-                               f"got lo = {lo!r}")
+        if kind == "phi" and entry_id == "neg_exp" and not lo - _CONTAINS_EPS >= bound:
+            raise CatalogError(f"phi 'neg_exp' needs a finite exp(-x) down to lo - {_CONTAINS_EPS}, "
+                               f"that is lo - {_CONTAINS_EPS} >= {bound!r}, got lo = {lo!r}")
 
 
 def _number(params: dict, key: str, default: float) -> float:

@@ -568,7 +568,15 @@ RELATIONS_ON_MINUS_ONE = {"space": {"id": "upper_interval", "lo": -1.0}, "phi": 
 @pytest.mark.parametrize("cmd, cfg, message", [
     # exit 3 with an OverflowError
     ("check-order", {"space": {"id": "upper_interval", "lo": -1e300}, "phi": {"id": "neg_exp"}},
-     "phi 'neg_exp' needs a finite exp(-lo), that is lo >= -709.782712893384, got lo = -1e+300"),
+     "phi 'neg_exp' needs a finite exp(-x) down to lo - 1e-09, "
+     "that is lo - 1e-09 >= -709.782712893384, got lo = -1e+300"),
+    # exit 3 with an OverflowError: F(lo, lo) = lo - 1e-10 is a carrier point
+    ("check-relations", {"space": {"id": "upper_interval", "lo": -709.782712893384},
+                         "phi": {"id": "neg_exp"}, "relation": "left",
+                         "maps": [{"id": "coupled_affine", "a": 1.0, "b": 0.0, "c": -1e-10},
+                                  {"id": "identity"}]},
+     "phi 'neg_exp' needs a finite exp(-x) down to lo - 1e-09, "
+     "that is lo - 1e-09 >= -709.782712893384, got lo = -709.782712893384"),
     # exit 3 with ValueError: math domain error
     ("check-relations", dict(RELATIONS_ON_MINUS_ONE,
                              maps=[{"id": "coupled_min"}, {"id": "sqrt_pull"}]),
@@ -577,7 +585,7 @@ RELATIONS_ON_MINUS_ONE = {"space": {"id": "upper_interval", "lo": -1.0}, "phi": 
     ("check-relations", dict(RELATIONS_ON_MINUS_ONE,
                              maps=[{"id": "coupled_min"}, {"id": "cbrt_pull"}]),
      "map 'cbrt_pull' needs an interval with lo >= 0, got lo = -1.0"),
-], ids=["neg_exp", "sqrt_pull", "cbrt_pull"])
+], ids=["neg_exp", "neg_exp_in_the_grace_below_lo", "sqrt_pull", "cbrt_pull"])
 def test_an_entry_outside_its_domain_is_a_config_error(tmp_path, cmd, cfg, message):
     cfg = dict(cfg, schema="1", output_dir=str(tmp_path / "o"))
     code, err = _run([cmd, "--config", _write(tmp_path / "c.json", cfg)])
@@ -589,15 +597,26 @@ def test_an_entry_fits_exactly_where_its_formula_stays_real():
     space = catalog.get_space("upper_interval", lo=0.0)
     for kind, entry_id in [("map", "sqrt_pull"), ("map", "cbrt_pull"), ("phi", "neg_exp")]:
         catalog._check_fit(kind, {"id": entry_id}, space)
-    # neg_exp's bound is the last lo at which phi(lo) is finite
-    neg_exp, lo = catalog.get_phi("neg_exp"), -math.log(sys.float_info.max)
-    catalog._check_fit("phi", {"id": "neg_exp"}, catalog.get_space("upper_interval", lo=lo))
-    assert math.isfinite(neg_exp(lo))
-    below = math.nextafter(lo, -math.inf)
-    with pytest.raises(OverflowError):
-        neg_exp(below)
-    with pytest.raises(catalog.CatalogError, match="neg_exp"):
-        catalog._check_fit("phi", {"id": "neg_exp"}, catalog.get_space("upper_interval", lo=below))
+    # neg_exp fits exactly where phi is finite at lo - eps, the lowest point
+    # the carrier accepts: at the floats around the bound, from both sides
+    neg_exp, eps = catalog.get_phi("neg_exp"), 1e-9
+    lo = -math.log(sys.float_info.max) + eps
+    for _ in range(4):
+        lo = math.nextafter(lo, -math.inf)
+    fits = []
+    for _ in range(8):
+        lo = math.nextafter(lo, math.inf)
+        try:
+            catalog._check_fit("phi", {"id": "neg_exp"}, catalog.get_space("upper_interval", lo=lo))
+            fits.append(True)
+        except catalog.CatalogError:
+            fits.append(False)
+        try:
+            finite = math.isfinite(neg_exp(lo - eps))
+        except OverflowError:
+            finite = False
+        assert fits[-1] == finite, lo
+    assert fits[0] is False and fits[-1] is True
 
 
 # -- one typed field reader for the config and its nested objects -------------
